@@ -3,19 +3,17 @@
 Three independent interval-domain counters are kept deliberately separate:
 
   count_rainbow_naive   scans every quad (the ground-truth oracle);
-  count_rainbow_fast    sums, per pair sum l, products of representation
-                        counts over the three ways to split four colors into
-                        side pairs (disjoint classes make each rainbow quad
-                        land in exactly one product);
+  count_rainbow_fast    inclusion-exclusion over ordered color 4-tuples,
+                        from a pair-sum and a pair-difference histogram per
+                        color class, built in fixed-size blocks (O(n) memory);
   rainbow_via_energy    for k = 4, three 4-fold additive energies with the
                         second side negated.
 
-The cyclic (Z_n) counters follow the same split, with sums read mod n and the
-pairing treated as part of the solution.
+The cyclic (Z_n) counters follow the same route with every sum and
+difference read mod n and the pairing treated as part of the solution.
 """
 from __future__ import annotations
 
-import itertools
 import json
 from enum import Enum
 from fractions import Fraction
@@ -70,59 +68,70 @@ def count_rainbow_naive(c: Coloring) -> ClassBreakdown:
     )
 
 
-def _pair_profiles(c: Coloring) -> dict[tuple[int, int], np.ndarray]:
-    """r_{X_i + X_j} for every unordered color pair, as arrays indexed by sum l."""
-    classes = [np.array(cls, dtype=np.int64) for cls in c.classes()]
-    width = 2 * c.n + 1
-    profiles = {}
-    for i, j in itertools.combinations(range(c.k), 2):
-        if len(classes[i]) and len(classes[j]):
-            sums = np.add.outer(classes[i], classes[j]).ravel()
-            profiles[(i, j)] = np.bincount(sums, minlength=width)
-        else:
-            profiles[(i, j)] = np.zeros(width, dtype=np.int64)
-    return profiles
+# A block of rows holds at most this many int64 pair entries (8 MiB).
+_BLOCK = 1 << 20
+# Each dot product below sums v**2 over v <= n with sum(v) <= n**2, so it is
+# at most n**3; this is the largest n with n**3 <= 2**63 - 1.
+_MAX_N = 2_097_151
 
 
-def _split_product_total(profiles, k: int, sl: slice) -> int:
-    """Sum over color 4-subsets and their three side splits of profile products."""
-    total = 0
-    for i, j, s, t in itertools.combinations(range(k), 4):
-        for (p, q), (r, w) in (((i, j), (s, t)), ((i, s), (j, t)), ((i, t), (j, s))):
-            total += int(np.dot(profiles[(p, q)][sl], profiles[(r, w)][sl]))
-    return total
+def _pair_histograms(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Counts of a + b (at index a + b) and of a - b (at a - b + n) over the
+    ordered pairs of the sorted class x, forming only the pairs a <= b."""
+    width = 2 * n + 1
+    sums, diffs = np.zeros(width, dtype=np.int64), np.zeros(width, dtype=np.int64)
+    rows = max(1, _BLOCK // max(len(x), 1))
+    for a in range(0, len(x), rows):
+        head, tail = x[a : a + rows], x[a + rows :]
+        sums += np.bincount(np.add.outer(head, head).ravel(), minlength=width)
+        sums += 2 * np.bincount(np.add.outer(head, tail).ravel(), minlength=width)
+        diffs += np.bincount(np.subtract.outer(head + n, head).ravel(), minlength=width)
+        below = np.bincount(np.subtract.outer(head + n, tail).ravel(), minlength=width)
+        diffs += below + below[::-1]
+    return sums, diffs
 
 
-def count_rainbow_fast(c: Coloring, budget_bytes: int = 1 << 30) -> int:
-    """Rainbow count via per-color-pair representation profiles.
+def _fold(v: np.ndarray, n: int) -> np.ndarray:
+    """A histogram indexed 0..2n reduced to residues mod n."""
+    return np.pad(v, (0, n - 1)).reshape(3, n).sum(axis=0)
 
-    Needs C(k,2) profiles of length 2n+1; if that exceeds budget_bytes the
-    function falls back to the naive scan (same answer, no allocation).
+
+def _rainbow_from_histograms(c: Coloring, cyclic: bool) -> int:
+    """Rainbow count from 8 * rainbow = sum_l (S^2 - 4 sum_i R_i^2 + 2 sum_{i != j}
+    P_ij^2), with P_ij(l) = #{(x, y) in X_i x X_j : x + y = l} and Q_i = P_ii.
+
+    S = F - sum_i Q_i and R_i = W_i - Q_i, for F(l) all ordered pairs summing
+    to l and W_i(l) the x in X_i with l - x in the domain. Same-colored x + y
+    = x' + y' means x - x' = y' - y, so sum_{i != j} P_ij^2 = sum_d D(d)^2 -
+    sum_i Q_i^2 for same-color differences D. Z_n: mod n, F = n, W_i = |X_i|.
     """
+    n = c.n
+    if c.k < 4:
+        return 0
+    if n > _MAX_N:
+        raise ValueError(f"n={n} is too large for int64 histogram sums: need n <= {_MAX_N}")
+    l = np.arange(2 * n + 1)
+    s = np.full(n, n) if cyclic else np.minimum(l - 1, 2 * n + 1 - l).clip(0)
+    d = np.zeros(2 * n + 1, dtype=np.int64)
+    r_sq = q_sq = 0
+    for cls in c.classes():
+        x = np.array(cls, dtype=np.int64)
+        q, diffs = _pair_histograms(x, n)
+        d += diffs
+        q = _fold(q, n) if cyclic else q
+        w = len(x) if cyclic else np.searchsorted(x, l) - np.searchsorted(x, l - n)
+        s -= q
+        r_sq += int((w - q) @ (w - q))
+        q_sq += int(q @ q)
+    d = _fold(d, n) if cyclic else d
+    return (int(s @ s) - 4 * r_sq + 2 * (int(d @ d) - q_sq)) // 8
+
+
+def count_rainbow_fast(c: Coloring) -> int:
+    """Rainbow count from per-color pair-sum and pair-difference histograms."""
     if c.domain is not Domain.INTERVAL:
         raise ValueError("count_rainbow_fast expects an interval coloring")
-    if c.k < 4:
-        return 0
-    pairs = c.k * (c.k - 1) // 2
-    if pairs * (2 * c.n + 1) * 8 > budget_bytes:
-        return count_rainbow_naive(c).rainbow
-    profiles = _pair_profiles(c)
-    return _split_product_total(profiles, c.k, slice(None))
-
-
-def rainbow_fast_chunked(c: Coloring, cuts: list[int]) -> int:
-    """Same sum as count_rainbow_fast, evaluated over sum-axis chunks split at
-    the given cut points and recombined by addition. Contract: chunking must
-    never change the result."""
-    if c.domain is not Domain.INTERVAL:
-        raise ValueError("rainbow_fast_chunked expects an interval coloring")
-    if c.k < 4:
-        return 0
-    profiles = _pair_profiles(c)
-    edges = [0] + sorted(cuts) + [2 * c.n + 1]
-    return sum(
-        _split_product_total(profiles, c.k, slice(a, b)) for a, b in zip(edges, edges[1:])
-    )
+    return _rainbow_from_histograms(c, cyclic=False)
 
 
 def rainbow_via_energy(c: Coloring) -> int:
@@ -176,21 +185,10 @@ def count_rainbow_cyclic_naive(c: Coloring) -> int:
 
 
 def count_rainbow_cyclic_fast(c: Coloring) -> int:
-    """Cyclic rainbow count via residue-indexed profiles per color pair."""
+    """Cyclic rainbow count from the same histograms, read mod n."""
     if c.domain is not Domain.CYCLIC:
         raise ValueError("count_rainbow_cyclic_fast expects a cyclic coloring")
-    if c.k < 4:
-        return 0
-    n = c.n
-    classes = [np.array(cls, dtype=np.int64) for cls in c.classes()]
-    profiles = {}
-    for i, j in itertools.combinations(range(c.k), 2):
-        if len(classes[i]) and len(classes[j]):
-            sums = (np.add.outer(classes[i], classes[j]).ravel() - 1) % n
-            profiles[(i, j)] = np.bincount(sums, minlength=n)
-        else:
-            profiles[(i, j)] = np.zeros(n, dtype=np.int64)
-    return _split_product_total(profiles, c.k, slice(None))
+    return _rainbow_from_histograms(c, cyclic=True)
 
 
 class MonoPairs(NamedTuple):

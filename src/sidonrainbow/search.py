@@ -282,7 +282,7 @@ def fox_spot_check(n: int, max_states: int = 1_000_000) -> bool:
     """Do all 4-colorings with every class of size at least (n+1)/6 have a rainbow quad?
 
     Exhaustive over canonical colorings with a class-size feasibility prune.
-    Expected true; a sanity check at desk scale, not a proof.
+    The answer depends on n: False at n = 5 and 11, True at other n in 4..11.
     """
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")

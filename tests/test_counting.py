@@ -1,11 +1,13 @@
 """The three rainbow counters against each other and against definitions."""
 import itertools
 import json
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sidonrainbow import counting
 from sidonrainbow.core import Coloring, Domain, SidonQuad, make_quad, mod_coloring, random_coloring
 from sidonrainbow.counting import (
     QuadClass,
@@ -18,10 +20,17 @@ from sidonrainbow.counting import (
     iter_quad_tuples,
     monochromatic_pairs,
     non_rainbow_lower_bound,
-    rainbow_fast_chunked,
     rainbow_via_energy,
 )
 from sidonrainbow.enumeration import enumerate_quads, total_quads_formula
+
+
+def n_and_k(lo, hi):
+    # k from 1..8, or anywhere up to n: k > 8, and k >= n/2 where most
+    # classes are empty or singletons
+    return st.integers(lo, hi).flatmap(
+        lambda n: st.tuples(st.just(n), st.one_of(st.integers(1, 8), st.integers(1, n)))
+    )
 
 
 def brute_breakdown_rainbow(c):
@@ -71,9 +80,13 @@ def test_naive_matches_subset_scan():
         assert count_rainbow_naive(c).rainbow == brute_breakdown_rainbow(c)
 
 
-@given(st.integers(4, 60), st.integers(1, 8), st.integers(0, 10**6))
+@given(n_and_k(4, 60), st.integers(0, 10**6))
+@example((60, 60), 0)
+@example((41, 27), 1)
+@example((33, 12), 2)
 @settings(max_examples=60, deadline=None)
-def test_fast_matches_naive(n, k, seed):
+def test_fast_matches_naive(nk, seed):
+    n, k = nk
     c = random_coloring(n, k, seed)
     bd = count_rainbow_naive(c)
     assert bd.total == total_quads_formula(n)
@@ -106,27 +119,20 @@ def test_label_permutation_invariance():
         assert count_rainbow_fast(swapped) == count_rainbow_fast(base)
 
 
-def test_chunked_recombination():
-    c = random_coloring(60, 5, 11)
-    want = count_rainbow_fast(c)
-    for cuts in ([], [7], [1, 60, 61], [30, 30, 90], list(range(0, 121, 5))):
-        assert rainbow_fast_chunked(c, cuts) == want
-
-
-def test_budget_fallback_same_answer():
-    c = random_coloring(80, 6, 2)
-    assert count_rainbow_fast(c, budget_bytes=1) == count_rainbow_fast(c)
-
-
 def test_cyclic_mod4_spot():
     c = mod_coloring(8, 4, Domain.CYCLIC)
     assert count_rainbow_cyclic_naive(c) == 16
     assert count_rainbow_cyclic_fast(c) == 16
 
 
-@given(st.integers(4, 36), st.integers(1, 6), st.integers(0, 10**6))
+@given(n_and_k(4, 36), st.integers(0, 10**6))
+@example((36, 36), 0)
+@example((35, 35), 1)
+@example((30, 17), 2)
+@example((29, 20), 3)
 @settings(max_examples=60, deadline=None)
-def test_cyclic_fast_matches_naive(n, k, seed):
+def test_cyclic_fast_matches_naive(nk, seed):
+    n, k = nk
     c = random_coloring(n, k, seed, Domain.CYCLIC)
     naive = count_rainbow_cyclic_naive(c)
     if k >= 4:
@@ -134,6 +140,17 @@ def test_cyclic_fast_matches_naive(n, k, seed):
     else:
         assert naive == 0
         assert count_rainbow_cyclic_fast(c) == 0
+
+
+@pytest.mark.parametrize("block", [1, 100])
+def test_blocked_histograms_match_naive(monkeypatch, block):
+    # classes this small fit one block; shrink it so row blocks meet later columns
+    monkeypatch.setattr(counting, "_BLOCK", block)
+    for n, k, seed in ((60, 4, 1), (57, 5, 2), (40, 9, 3)):
+        c = random_coloring(n, k, seed)
+        assert count_rainbow_fast(c) == count_rainbow_naive(c).rainbow
+        cyc = random_coloring(n, k, seed, Domain.CYCLIC)
+        assert count_rainbow_cyclic_fast(cyc) == count_rainbow_cyclic_naive(cyc)
 
 
 def test_counters_reject_wrong_domain():
@@ -147,6 +164,18 @@ def test_counters_reject_wrong_domain():
         count_rainbow_cyclic_naive(flat)
     with pytest.raises(ValueError):
         count_rainbow_cyclic_fast(flat)
+
+
+def test_fast_counters_check_int64_headroom():
+    limit = counting._MAX_N
+    assert limit**3 <= 2**63 - 1 < (limit + 1) ** 3
+    for domain, count in ((Domain.INTERVAL, count_rainbow_fast), (Domain.CYCLIC, count_rainbow_cyclic_fast)):
+        # a stand-in coloring: the check must fire before any class is built
+        huge = SimpleNamespace(
+            domain=domain, n=limit + 1, k=4, classes=lambda: pytest.fail("classes built")
+        )
+        with pytest.raises(ValueError, match=f"n={limit + 1} .*n <= {limit}"):
+            count(huge)
 
 
 def test_monochromatic_pairs():
