@@ -14,31 +14,14 @@ difference read mod n and the pairing treated as part of the solution.
 """
 from __future__ import annotations
 
-import json
-from enum import Enum
 from fractions import Fraction
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
-from .core import ClassBreakdown, Coloring, Domain, SidonQuad
+from .core import ClassBreakdown, Coloring, Domain
 from .enumeration import f_n_exact
 from .repfn import IntSet, additive_energy, negate_set
-
-
-class QuadClass(Enum):
-    RAINBOW = 4
-    THREE_COLORED = 3
-    TWO_COLORED = 2
-    MONOCHROMATIC = 1
-
-
-def classify_quad(q: SidonQuad, c: Coloring) -> QuadClass:
-    """Class of a quad by how many distinct colors its four elements receive."""
-    if c.domain is not Domain.INTERVAL:
-        raise ValueError("classify_quad expects an interval coloring")
-    distinct = len({c.color_of(x) for x in q.elements})
-    return QuadClass(distinct)
 
 
 def iter_quad_tuples(n: int) -> Iterator[tuple[int, int, int, int]]:
@@ -191,22 +174,6 @@ def count_rainbow_cyclic_fast(c: Coloring) -> int:
     return _rainbow_from_histograms(c, cyclic=True)
 
 
-class MonoPairs(NamedTuple):
-    count: int
-    lower_bound: Fraction
-    satisfied: bool
-
-
-def monochromatic_pairs(c: Coloring) -> MonoPairs:
-    """Exact number of same-colored pairs, with the convexity floor n^2/(2k) - n/2."""
-    if c.domain is not Domain.INTERVAL:
-        raise ValueError("monochromatic_pairs expects an interval coloring")
-    sizes = [len(cls) for cls in c.classes()]
-    count = sum(s * (s - 1) // 2 for s in sizes)
-    bound = Fraction(c.n**2, 2 * c.k) - Fraction(c.n, 2)
-    return MonoPairs(count, bound, count >= bound)
-
-
 def non_rainbow_lower_bound(c: Coloring) -> Fraction:
     """Exact rational floor on the number of non-rainbow quads.
 
@@ -223,19 +190,3 @@ def non_rainbow_lower_bound(c: Coloring) -> Fraction:
             for ai in range(bi + 1, len(cls)):
                 total += f_n_exact(c.n, cls[bi], cls[ai])
     return scale * total
-
-
-def breakdown_to_json(n: int, k: int, bd: ClassBreakdown) -> str:
-    """One-line JSON export of a class breakdown."""
-    return json.dumps(
-        {
-            "n": n,
-            "k": k,
-            "rainbow": bd.rainbow,
-            "monochromatic": bd.monochromatic,
-            "two": bd.two_colored,
-            "three": bd.three_colored,
-            "total": bd.total,
-        },
-        separators=(",", ":"),
-    )

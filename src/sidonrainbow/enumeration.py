@@ -99,16 +99,6 @@ def modular_count_formula(k: int) -> int:
     return num // 8
 
 
-def partition_modular(k: int) -> dict[int, list[ModularSidonQuad]]:
-    """Bucket the balanced pairings mod k by their common pair sum u in {1..k}."""
-    if k < 4:
-        raise ValueError(f"need k >= 4, got {k}")
-    buckets: dict[int, list[ModularSidonQuad]] = {u: [] for u in range(1, k + 1)}
-    for q in enumerate_modular_quads(k):
-        buckets[q.side_sum].append(q)
-    return buckets
-
-
 def f_n_exact(n: int, b: int, a: int) -> int:
     """Exact number of Sidon 4-sets of [n] containing both a and b (b < a).
 

@@ -7,6 +7,7 @@ bit-identical against the pure-Python fold in tests).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -81,21 +82,6 @@ def rep_profile(A: IntSet, B: IntSet) -> RepProfile:
     return RepProfile(lo, hi, tuple(counts))
 
 
-def cyclic_rep_profile(A: IntSet, B: IntSet, n: int) -> RepProfile:
-    """r_{A+B} over Z_n: counts indexed by residues {1..n}, n standing for 0."""
-    if not len(A) or not len(B):
-        raise ValueError("cyclic_rep_profile needs nonempty sets")
-    for s in (A, B):
-        for x in s:
-            if not 1 <= x <= n:
-                raise ValueError(f"element {x} outside {{1..{n}}}")
-    counts = [0] * n
-    for a in A.values:
-        for b in B.values:
-            counts[(a + b - 1) % n] += 1
-    return RepProfile(1, n, tuple(counts))
-
-
 def interval_compress(size: int) -> IntSet:
     """The symmetric interval [-ceil(size/2), ceil(size/2)]; depends only on cardinality."""
     if size < 1:
@@ -121,13 +107,15 @@ def additive_energy(sets: Sequence[IntSet]) -> int:
     """E_t: number of tuples (a_1..a_t), a_i from sets[i], with zero sum.
 
     Folds indicator arrays by integer convolution, then reads the count at 0.
-    Any empty set gives 0. Intermediate counts stay below prod(|A_i|), well
-    inside int64 for the sizes this library targets.
+    Any empty set gives 0. Every intermediate count is at most prod(|A_i|),
+    so the fold needs prod(|A_i|) <= 2**63 - 1 and raises ValueError beyond.
     """
     if len(sets) < 2:
         raise ValueError("need at least two sets")
     if any(len(s) == 0 for s in sets):
         return 0
+    if math.prod(len(s) for s in sets) > 2**63 - 1:
+        raise ValueError("product of set sizes exceeds 2**63 - 1: int64 fold would overflow")
     lo, acc = _indicator(sets[0])
     for s in sets[1:]:
         slo, sarr = _indicator(s)

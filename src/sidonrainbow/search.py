@@ -1,19 +1,25 @@
 """Search over colorings: exhaustive maxima at tiny n, hill climbing beyond.
 
-Exhaustive enumeration walks canonical colorings only: the first element of
-each new color class receives the smallest unused color, which removes the k!
-label symmetry exactly. The reflection x -> n+1-x also preserves rainbow
-counts (it maps Sidon 4-sets to Sidon 4-sets); exploiting it is optional and
-guarded by an equality test rather than assumed.
+One depth-first walker serves the exhaustive maximum and the Fox spot check.
+It visits canonical colorings only: the first element of each new color class
+receives the smallest unused color, which removes the k! label symmetry
+exactly. Each quad is scored once, when its largest element is colored, and
+the partial rainbow count travels down the tree, so a caller's hook can prune
+a subtree from its partial count and class sizes.
+
+One recolor-gain routine serves hill climbing and delta_recolor: the rainbow
+quads through an element under each of its possible colors.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 from .core import Coloring, Domain, mod_coloring, random_coloring
 from .counting import count_rainbow_naive, iter_quad_tuples
+from .enumeration import total_quads_formula
 
 
 class BudgetExceededError(Exception):
@@ -79,160 +85,136 @@ def canonical_coloring_count(n: int, k: int) -> int:
     return sum(row[1 : min(k, n) + 1])
 
 
-def _quads_zero_based(n: int) -> list[tuple[int, int, int, int]]:
-    return [(a - 1, b - 1, c - 1, d - 1) for a, b, c, d in iter_quad_tuples(n)]
+def _walk(
+    n: int, k: int, max_states: int, enter: Callable[[int, int, list[int], list[int]], bool]
+) -> None:
+    """Depth-first walk of the canonical k-colorings of [n], colors ascending.
 
-
-def _canonicalize(cols: tuple[int, ...]) -> tuple[int, ...]:
-    """Relabel colors by first occurrence (1-based colors in, 1-based out)."""
-    relabel: dict[int, int] = {}
-    out = []
-    for c in cols:
-        if c not in relabel:
-            relabel[c] = len(relabel) + 1
-        out.append(relabel[c])
-    return tuple(out)
-
-
-def exhaustive_ar(
-    n: int,
-    k: int,
-    max_states: int = 1_000_000,
-    use_reflection: bool = False,
-) -> SearchResult:
-    """Exact maximum rainbow count over all k-colorings of [n].
-
-    Walks canonical colorings depth-first (colors ascending at each element),
-    so the reported witness is the first maximizer in that order. When
-    use_reflection is set, a leaf whose reflected-and-relabeled form is
-    strictly smaller is skipped; its mirror scores the same.
+    Each quad is scored once, at the depth where its largest element gets its
+    color, and the running rainbow count is passed down the tree. At every
+    node, elements 0..pos-1 colored, enter(pos, count, sizes, masks) is
+    called; a False return skips the node's subtree. masks[i] is 1 << color
+    (0 while unassigned) and sizes[c] is the size of color class c.
     """
-    if n < 1 or k < 1:
-        raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
     states = canonical_coloring_count(n, k)
     if states > max_states:
         raise BudgetExceededError(
             f"{states} canonical colorings exceed the budget of {max_states}"
         )
-    quads = _quads_zero_based(n)
-    cols = [0] * n  # 1-based colors; 0 = unassigned
+    # iter_quad_tuples lists the largest element first
+    closing: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for a, b, c, d in iter_quad_tuples(n):
+        closing[a - 1].append((b - 1, c - 1, d - 1))
+    masks = [0] * n
+    sizes = [0] * (k + 1)
+
+    def rec(pos: int, used: int, count: int):
+        if not enter(pos, count, sizes, masks) or pos == n:
+            return
+        m3s = [masks[a] | masks[b] | masks[d] for a, b, d in closing[pos]]
+        m3s = [m for m in m3s if m.bit_count() == 3]
+        for c in range(1, min(used + 1, k) + 1):
+            bit = 1 << c
+            masks[pos] = bit
+            sizes[c] += 1
+            rec(pos + 1, max(used, c), count + sum(not m & bit for m in m3s))
+            sizes[c] -= 1
+        masks[pos] = 0
+
+    rec(0, 0, 0)
+
+
+def exhaustive_ar(n: int, k: int, max_states: int = 1_000_000) -> SearchResult:
+    """Exact maximum rainbow count over all k-colorings of [n].
+
+    Branch and bound over the canonical colorings: a subtree is skipped when
+    its partial count plus the quads not yet scored cannot beat the best so
+    far. Leaves come in lexicographic order, so the reported witness is the
+    first maximizer in that order.
+    """
+    if n < 1 or k < 1:
+        raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+    total = total_quads_formula(n)
+    # quads whose largest element is still uncolored, by number colored
+    left = [total] + [total - total_quads_formula(p) for p in range(1, n + 1)]
     best_count = -1
     best_cols: tuple[int, ...] = ()
 
-    def score() -> int:
-        masks = [1 << c for c in cols]
-        cnt = 0
-        for a, b, c_, d in quads:
-            if (masks[a] | masks[b] | masks[c_] | masks[d]).bit_count() == 4:
-                cnt += 1
-        return cnt
-
-    def rec(pos: int, used: int):
+    def enter(pos: int, count: int, sizes: list[int], masks: list[int]) -> bool:
         nonlocal best_count, best_cols
+        if count + left[pos] <= best_count:
+            return False
         if pos == n:
-            if use_reflection:
-                mirrored = _canonicalize(tuple(reversed(cols)))
-                if mirrored < tuple(cols):
-                    return
-            cnt = score()
-            if cnt > best_count:
-                best_count = cnt
-                best_cols = tuple(cols)
-            return
-        for c in range(1, min(used + 1, k) + 1):
-            cols[pos] = c
-            rec(pos + 1, max(used, c))
-        cols[pos] = 0
+            best_count = count
+            best_cols = tuple(m.bit_length() - 1 for m in masks)
+        return True
 
-    rec(0, 0)
+    _walk(n, k, max_states, enter)
     witness = Coloring(Domain.INTERVAL, n, k, best_cols)
     return _verified(
         SearchResult(best_count, witness, SearchMethod.EXHAUSTIVE, 0, 0, 0, exact=True)
     )
 
 
-def delta_recolor(c: Coloring, i: int, newcolor: int) -> int:
-    """Exact change in rainbow count from recoloring element i.
+def _gains(masks: list[int], i: int, k: int) -> list[int]:
+    """g[col], 1 <= col <= k: rainbow quads through element index i if it wore col.
 
-    Only quads through i matter. Each such quad is generated once from i's
-    side partner x: the opposite side is any other pair {y, z} with
-    y + z = i + x avoiding both.
+    Each quad through i is generated once from i's side partner x: the
+    opposite side is any other pair {y < z} with y + z = i + x. Only quads
+    whose other three elements show three distinct colors can be rainbow, so
+    their color masks are tallied first; the pair {y, z} = {i, x} itself
+    shows at most two colors and drops out without a test.
     """
-    if c.domain is not Domain.INTERVAL:
-        raise ValueError("delta_recolor expects an interval coloring")
-    n = c.n
-    if not 1 <= i <= n:
-        raise ValueError(f"element {i} outside [1, {n}]")
-    if not 1 <= newcolor <= c.k:
-        raise ValueError(f"color {newcolor} outside [1, {c.k}]")
-    cur = c.colors[i - 1]
-    if newcolor == cur:
-        return 0
-    masks = [1 << col for col in c.colors]
-    cur_bit, new_bit = 1 << cur, 1 << newcolor
-    delta = 0
-    for x in range(1, n + 1):
+    n = len(masks)
+    tally: dict[int, int] = {}
+    for x in range(n):
         if x == i:
             continue
         s = i + x
-        mx = masks[x - 1]
-        for y in range(max(1, s - n), (s - 1) // 2 + 1):
-            z = s - y
-            if y == i or y == x or z == i or z == x:
-                continue
-            m3 = mx | masks[y - 1] | masks[z - 1]
+        mx = masks[x]
+        for y in range(max(0, s - n + 1), (s - 1) // 2 + 1):
+            m3 = mx | masks[y] | masks[s - y]
             if m3.bit_count() == 3:
-                delta += (m3 & new_bit == 0) - (m3 & cur_bit == 0)
-    return delta
+                tally[m3] = tally.get(m3, 0) + 1
+    g = [0] * (k + 1)
+    for m3, cnt in tally.items():
+        for col in range(1, k + 1):
+            if not (m3 >> col) & 1:
+                g[col] += cnt
+    return g
 
 
-def _climb(
-    cols: list[int],
-    n: int,
-    k: int,
-    quads: list[tuple[int, int, int, int]],
-    by_elem: list[list[int]],
-    move_budget: int,
-) -> tuple[int, int]:
-    """Best-improvement hill climbing in place; returns (rainbow count, moves used)."""
+def delta_recolor(c: Coloring, i: int, newcolor: int) -> int:
+    """Exact change in rainbow count from recoloring element i."""
+    if c.domain is not Domain.INTERVAL:
+        raise ValueError("delta_recolor expects an interval coloring")
+    if not 1 <= i <= c.n:
+        raise ValueError(f"element {i} outside [1, {c.n}]")
+    if not 1 <= newcolor <= c.k:
+        raise ValueError(f"color {newcolor} outside [1, {c.k}]")
+    g = _gains([1 << col for col in c.colors], i - 1, c.k)
+    return g[newcolor] - g[c.colors[i - 1]]
+
+
+def _climb(cols: list[int], k: int, move_budget: int) -> tuple[int, int]:
+    """Best-improvement hill climbing in place; returns (count gained, moves used)."""
     masks = [1 << c for c in cols]
-    count = 0
-    for a, b, c_, d in quads:
-        if (masks[a] | masks[b] | masks[c_] | masks[d]).bit_count() == 4:
-            count += 1
-    moves = 0
-    gains = [0] * (k + 1)
+    gained = moves = 0
     while moves < move_budget:
         best_delta, best_i, best_col = 0, -1, -1
-        for i in range(n):
+        for i in range(len(cols)):
+            g = _gains(masks, i, k)
+            base = g[cols[i]]
             for col in range(1, k + 1):
-                gains[col] = 0
-            # gains[col] = rainbow quads through i if i wore col, over quads
-            # whose other three elements already show three distinct colors
-            for qi in by_elem[i]:
-                a, b, c_, d = quads[qi]
-                m3 = 0
-                for e in (a, b, c_, d):
-                    if e != i:
-                        m3 |= masks[e]
-                if m3.bit_count() == 3:
-                    for col in range(1, k + 1):
-                        if not (m3 >> col) & 1:
-                            gains[col] += 1
-            base = gains[cols[i]]
-            for col in range(1, k + 1):
-                if col == cols[i]:
-                    continue
-                delta = gains[col] - base
-                if delta > best_delta:
-                    best_delta, best_i, best_col = delta, i, col
+                if g[col] - base > best_delta:
+                    best_delta, best_i, best_col = g[col] - base, i, col
         if best_i < 0:
             break  # plateau or local maximum: no strictly improving move
         cols[best_i] = best_col
         masks[best_i] = 1 << best_col
-        count += best_delta
+        gained += best_delta
         moves += 1
-    return count, moves
+    return gained, moves
 
 
 def local_search(
@@ -250,11 +232,6 @@ def local_search(
         raise ValueError("need at least one start")
     if max_moves < 0:
         raise ValueError("move budget must be nonnegative")
-    quads = _quads_zero_based(n)
-    by_elem: list[list[int]] = [[] for _ in range(n)]
-    for qi, q in enumerate(quads):
-        for e in q:
-            by_elem[e].append(qi)
     best_count, best_cols, total_moves = -1, None, 0
     budget_left = max_moves
     for r in range(restarts):
@@ -263,7 +240,8 @@ def local_search(
         else:
             start = random_coloring(n, k, seed + r)
         cols = list(start.colors)
-        count, used = _climb(cols, n, k, quads, by_elem, budget_left)
+        gained, used = _climb(cols, k, budget_left)
+        count = count_rainbow_naive(start).rainbow + gained
         budget_left -= used
         total_moves += used
         if count > best_count:
@@ -281,42 +259,24 @@ def local_search(
 def fox_spot_check(n: int, max_states: int = 1_000_000) -> bool:
     """Do all 4-colorings with every class of size at least (n+1)/6 have a rainbow quad?
 
-    Exhaustive over canonical colorings with a class-size feasibility prune.
+    Walks the canonical colorings, skipping subtrees that already hold a
+    rainbow quad or can no longer fill every class to the threshold.
     The answer depends on n: False at n = 5 and 11, True at other n in 4..11.
     """
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
-    if canonical_coloring_count(n, 4) > max_states:
-        raise BudgetExceededError(f"n={n} exceeds the canonical-coloring budget")
     threshold = -((n + 1) // -6)  # ceil((n+1)/6)
-    quads = _quads_zero_based(n)
-    cols = [0] * n
-    sizes = [0] * 5
     ok = True
 
-    def has_rainbow() -> bool:
-        masks = [1 << c for c in cols]
-        for a, b, c_, d in quads:
-            if (masks[a] | masks[b] | masks[c_] | masks[d]).bit_count() == 4:
-                return True
-        return False
-
-    def rec(pos: int, used: int):
+    def enter(pos: int, count: int, sizes: list[int], masks: list[int]) -> bool:
         nonlocal ok
-        if not ok:
-            return
-        deficit = sum(max(0, threshold - sizes[c]) for c in range(1, 5))
-        if deficit > n - pos:
-            return
+        if not ok or count:
+            return False
+        if sum(max(0, threshold - s) for s in sizes[1:]) > n - pos:
+            return False
         if pos == n:
-            ok = has_rainbow()
-            return
-        for c in range(1, min(used + 1, 4) + 1):
-            cols[pos] = c
-            sizes[c] += 1
-            rec(pos + 1, max(used, c))
-            sizes[c] -= 1
-        cols[pos] = 0
+            ok = False  # a feasible coloring without a rainbow quad
+        return True
 
-    rec(0, 0)
+    _walk(n, 4, max_states, enter)
     return ok

@@ -1,6 +1,5 @@
 """The three rainbow counters against each other and against definitions."""
 import itertools
-import json
 from types import SimpleNamespace
 
 import pytest
@@ -8,17 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sidonrainbow import counting
-from sidonrainbow.core import Coloring, Domain, SidonQuad, make_quad, mod_coloring, random_coloring
+from sidonrainbow.core import Coloring, Domain, make_quad, mod_coloring, random_coloring
 from sidonrainbow.counting import (
-    QuadClass,
-    breakdown_to_json,
-    classify_quad,
     count_rainbow_cyclic_fast,
     count_rainbow_cyclic_naive,
     count_rainbow_fast,
     count_rainbow_naive,
     iter_quad_tuples,
-    monochromatic_pairs,
     non_rainbow_lower_bound,
     rainbow_via_energy,
 )
@@ -41,16 +36,6 @@ def brute_breakdown_rainbow(c):
         if q is not None and len({c.color_of(x) for x in q.elements}) == 4:
             count += 1
     return count
-
-
-def test_classify():
-    c = Coloring(Domain.INTERVAL, 5, 4, (1, 2, 3, 4, 1))
-    assert classify_quad(SidonQuad(4, 3, 2, 1), c) is QuadClass.RAINBOW
-    assert classify_quad(SidonQuad(5, 4, 2, 1), c) is QuadClass.THREE_COLORED
-    mono = Coloring(Domain.INTERVAL, 5, 2, (1, 1, 1, 1, 1))
-    assert classify_quad(SidonQuad(4, 3, 2, 1), mono) is QuadClass.MONOCHROMATIC
-    with pytest.raises(ValueError):
-        classify_quad(SidonQuad(4, 3, 2, 1), mod_coloring(5, 2, Domain.CYCLIC))
 
 
 def test_tuple_stream_matches_quads():
@@ -178,32 +163,9 @@ def test_fast_counters_check_int64_headroom():
             count(huge)
 
 
-def test_monochromatic_pairs():
-    c = Coloring(Domain.INTERVAL, 6, 2, (1, 1, 1, 2, 2, 2))
-    mp = monochromatic_pairs(c)
-    assert mp.count == 6
-    assert mp.satisfied
-
-
-@given(st.integers(2, 80), st.integers(1, 8), st.integers(0, 10**6))
-def test_mono_pair_floor_always_holds(n, k, seed):
-    # convexity: the balanced coloring minimizes same-color pairs
-    mp = monochromatic_pairs(random_coloring(n, k, seed))
-    assert mp.count >= mp.lower_bound
-    assert mp.satisfied
-
-
 @given(st.integers(8, 50), st.integers(2, 6), st.integers(0, 10**6))
 @settings(max_examples=50, deadline=None)
 def test_non_rainbow_floor(n, k, seed):
     c = random_coloring(n, k, seed)
     bd = count_rainbow_naive(c)
     assert bd.total - bd.rainbow >= non_rainbow_lower_bound(c)
-
-
-def test_breakdown_json():
-    bd = count_rainbow_naive(mod_coloring(8, 4))
-    obj = json.loads(breakdown_to_json(8, 4, bd))
-    assert obj["rainbow"] == 10
-    assert obj["total"] == total_quads_formula(8)
-    assert set(obj) == {"n", "k", "rainbow", "monochromatic", "two", "three", "total"}

@@ -14,7 +14,6 @@ from sidonrainbow.enumeration import (
     f_n_scan,
     modular_count_formula,
     pairs_with_sum,
-    partition_modular,
     total_quads_formula,
 )
 
@@ -97,19 +96,6 @@ def test_modular_enumeration_matches_formula():
         assert len(quads) == modular_count_formula(k)
         assert quads == sorted(quads)
         assert len(set(quads)) == len(quads)
-
-
-def test_partition_buckets():
-    buckets = partition_modular(4)
-    assert sorted(buckets) == [1, 2, 3, 4]
-    assert [len(buckets[u]) for u in (1, 2, 3, 4)] == [1, 0, 1, 0]
-    for k in (5, 8, 11):
-        buckets = partition_modular(k)
-        assert sum(len(v) for v in buckets.values()) == modular_count_formula(k)
-        for u, qs in buckets.items():
-            assert all(q.side_sum == u for q in qs)
-    with pytest.raises(ValueError):
-        partition_modular(3)
 
 
 @pytest.mark.parametrize("n, b, a, expected", [(10, 1, 2, 7), (10, 1, 10, 4)])

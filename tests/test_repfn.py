@@ -14,7 +14,6 @@ from sidonrainbow.repfn import (
     closed_energy4_interval,
     closed_rep_one_interval,
     closed_rep_two_intervals,
-    cyclic_rep_profile,
     interval_compress,
     negate_set,
     rep_profile,
@@ -64,15 +63,6 @@ def test_rep_profile_mass_and_symmetry(A, B):
     assert all(c >= 0 for c in p.counts)
 
 
-def test_cyclic_profile():
-    p = cyclic_rep_profile(IntSet([1, 2]), IntSet([3, 4]), 4)
-    # sums mod 4 with residue n for 0: 1+3=4, 1+4=1, 2+3=1, 2+4=2
-    assert [p[r] for r in (1, 2, 3, 4)] == [2, 1, 0, 1]
-    assert p.total() == 4
-    with pytest.raises(ValueError, match="outside"):
-        cyclic_rep_profile(IntSet([0, 1]), IntSet([1]), 4)
-
-
 def test_interval_compress():
     assert interval_compress(1) == IntSet([-1, 0, 1])
     assert interval_compress(2) == IntSet([-1, 0, 1])
@@ -98,6 +88,14 @@ def test_energy_hand_values():
 @settings(max_examples=200)
 def test_energy_matches_slow_fold(sets):
     assert additive_energy(sets) == _fold_energy_slow(sets)
+
+
+def test_energy_int64_headroom():
+    # the product of sizes bounds every count in the fold: 10**18 fits int64, 10**22 does not
+    ten = IntSet(range(-5, 5))
+    assert additive_energy([ten] * 18) == _fold_energy_slow([ten] * 18)
+    with pytest.raises(ValueError, match="2\\*\\*63"):
+        additive_energy([ten] * 22)
 
 
 def test_two_interval_closed_form_spots():

@@ -20,25 +20,26 @@ from sidonrainbow.search import (
 )
 
 
-def brute_canonical_count(n, k):
-    seen = 0
+def brute_canonical(n, k):
+    # every k-coloring of [n] in lexicographic order, kept when canonical
     for cols in itertools.product(range(1, k + 1), repeat=n):
         relabel = {}
         for c in cols:
             if c not in relabel:
                 relabel[c] = len(relabel) + 1
         if all(c == relabel[c] for c in cols):
-            seen += 1
-    return seen
+            yield cols
 
 
 def test_canonical_count_matches_direct_enumeration():
     for n in range(1, 8):
         for k in range(1, 6):
-            assert canonical_coloring_count(n, k) == brute_canonical_count(n, k)
+            assert canonical_coloring_count(n, k) == sum(1 for _ in brute_canonical(n, k))
 
 
-@pytest.mark.parametrize("n, k, expected", [(4, 4, 1), (5, 4, 2), (5, 5, 3), (6, 4, 4), (7, 4, 6)])
+@pytest.mark.parametrize(
+    "n, k, expected", [(4, 4, 1), (5, 4, 2), (5, 5, 3), (6, 4, 4), (7, 4, 6), (11, 4, 26)]
+)
 def test_exhaustive_spots(n, k, expected):
     r = exhaustive_ar(n, k)
     assert r.best_count == expected
@@ -60,11 +61,14 @@ def test_exhaustive_dominates_any_coloring():
     assert count_rainbow_naive(mod_coloring(8, 4)).rainbow <= r.best_count
 
 
-def test_reflection_pruning_is_invisible():
-    for n in range(4, 11):
-        plain = exhaustive_ar(n, 4)
-        pruned = exhaustive_ar(n, 4, use_reflection=True)
-        assert plain.best_count == pruned.best_count
+def test_exhaustive_witness_is_first_maximizer():
+    # the pruned walk must report the lexicographically first maximizing canonical coloring
+    for n in range(1, 9):
+        first = max(
+            brute_canonical(n, 4),
+            key=lambda cols: count_rainbow_naive(Coloring(Domain.INTERVAL, n, 4, cols)).rainbow,
+        )
+        assert exhaustive_ar(n, 4).best_coloring.colors == first
 
 
 def test_delta_recolor_hand_case():
@@ -166,9 +170,9 @@ def test_result_json():
     assert obj["coloring"]["colors"] == list(r.best_coloring.colors)
 
 
-@pytest.mark.parametrize("n", [4, 7])
+@pytest.mark.parametrize("n", range(4, 12))
 def test_fox_small(n):
-    assert fox_spot_check(n)
+    assert fox_spot_check(n) is (n not in (5, 11))
 
 
 def test_fox_budget():
