@@ -25,6 +25,7 @@ from .counting import (
     rainbow_via_energy,
 )
 from .enumeration import (
+    _check_scan,
     count_quads_by_sums,
     enumerate_quads,
     total_quads_formula,
@@ -88,6 +89,7 @@ def _cmd_total(args) -> int:
         s = count_quads_by_sums(n)
         vals = [f, s]
         if n <= 60 or args.brute:
+            _check_scan(f, f"enumerating n={n}")
             vals.append(sum(1 for _ in enumerate_quads(n)))
         ok = len(set(vals)) == 1
         if not ok:

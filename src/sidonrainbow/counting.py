@@ -15,12 +15,13 @@ difference read mod n and the pairing treated as part of the solution.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import Iterator
 
 import numpy as np
 
 from .core import ClassBreakdown, Coloring, Domain
-from .enumeration import f_n_exact
+from .enumeration import _check_scan, f_n_exact, total_quads_formula
 from .repfn import IntSet, additive_energy, negate_set
 
 
@@ -38,6 +39,7 @@ def count_rainbow_naive(c: Coloring) -> ClassBreakdown:
     """Full breakdown by scanning every Sidon 4-set of [n]. The oracle."""
     if c.domain is not Domain.INTERVAL:
         raise ValueError("count_rainbow_naive expects an interval coloring")
+    _check_scan(total_quads_formula(c.n), f"a naive scan of n={c.n}")
     masks = [1 << col for col in c.colors]
     tallies = [0, 0, 0, 0, 0]
     for x1, x2, x3, x4 in iter_quad_tuples(c.n):
@@ -149,6 +151,15 @@ def _cyclic_pair_masks(c: Coloring) -> list[list[int]]:
     return buckets
 
 
+def _cyclic_scan_size(n: int) -> int:
+    """Pairs of same-sum pairs that count_rainbow_cyclic_naive scans: residue r
+    has (n - #{a : 2a = r mod n}) / 2 pairs {a, b} with a + b = r mod n."""
+    doubles = [0] * n
+    for a in range(n):
+        doubles[2 * a % n] += 1
+    return sum(comb((n - d) // 2, 2) for d in doubles)
+
+
 def count_rainbow_cyclic_naive(c: Coloring) -> int:
     """Rainbow solutions to x+y = z+t in Z_n by scanning pairs of same-sum pairs.
 
@@ -157,6 +168,7 @@ def count_rainbow_cyclic_naive(c: Coloring) -> int:
     """
     if c.domain is not Domain.CYCLIC:
         raise ValueError("count_rainbow_cyclic_naive expects a cyclic coloring")
+    _check_scan(_cyclic_scan_size(c.n), f"a cyclic naive scan of n={c.n}")
     count = 0
     for bucket in _cyclic_pair_masks(c):
         for i in range(len(bucket)):

@@ -15,6 +15,19 @@ import numpy as np
 from .core import ModularSidonQuad, SidonQuad
 
 
+# The most quads one pure-Python scan may visit: about 4 s for the naive
+# rainbow counter and 20 s for enumerate_quads on a 2-vCPU x86 host.
+SCAN_CEILING = 10_000_000
+
+
+def _check_scan(quads: int, what: str) -> None:
+    """Raise ValueError, before any scanning, when a scan would exceed SCAN_CEILING."""
+    if quads > SCAN_CEILING:
+        raise ValueError(
+            f"{what} would scan {quads} quads, over the ceiling of {SCAN_CEILING}"
+        )
+
+
 def pairs_with_sum(n: int, l: int) -> int:
     """Number of pairs {a < b} within [n] with a + b = l."""
     lo = max(1, l - n)

@@ -7,19 +7,24 @@ exactly. Each quad is scored once, when its largest element is colored, and
 the partial rainbow count travels down the tree, so a caller's hook can prune
 a subtree from its partial count and class sizes.
 
-One recolor-gain routine serves hill climbing and delta_recolor: the rainbow
-quads through an element under each of its possible colors.
+One recolor-gain routine serves hill climbing and delta_recolor. It gives an
+element's gain row: T, the quads through the element whose other three
+elements show three distinct colors, and C[col], how many of those show col,
+so the element wearing col makes T - C[col] of its quads rainbow. A climb
+builds the row of every element once per start, reads each start's count off
+it, and after each move updates the rows along the O(n^2) quads through the
+recolored element only, not all O(n^3) quads.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, Sequence
 
 from .core import Coloring, Domain, mod_coloring, random_coloring
 from .counting import count_rainbow_naive, iter_quad_tuples
-from .enumeration import total_quads_formula
+from .enumeration import _check_scan, total_quads_formula
 
 
 class BudgetExceededError(Exception):
@@ -40,6 +45,7 @@ class SearchResult:
     moves: int
     seed: int
     exact: bool
+    stop: str  # why the search ended: "complete", "local maximum" or "move budget"
 
 
 def result_to_json(r: SearchResult) -> str:
@@ -52,6 +58,7 @@ def result_to_json(r: SearchResult) -> str:
             "moves": r.moves,
             "seed": r.seed,
             "exact": r.exact,
+            "stop": r.stop,
             "coloring": {
                 "domain": r.best_coloring.domain.value,
                 "n": r.best_coloring.n,
@@ -152,36 +159,46 @@ def exhaustive_ar(n: int, k: int, max_states: int = 1_000_000) -> SearchResult:
     _walk(n, k, max_states, enter)
     witness = Coloring(Domain.INTERVAL, n, k, best_cols)
     return _verified(
-        SearchResult(best_count, witness, SearchMethod.EXHAUSTIVE, 0, 0, 0, exact=True)
+        SearchResult(
+            best_count, witness, SearchMethod.EXHAUSTIVE, 0, 0, 0, exact=True, stop="complete"
+        )
     )
 
 
-def _gains(masks: list[int], i: int, k: int) -> list[int]:
-    """g[col], 1 <= col <= k: rainbow quads through element index i if it wore col.
+def _rows(cols: list[int], k: int, targets: Sequence[int]) -> list[list[int]]:
+    """Gain rows [T, C[1], ..., C[k]] of the element indices targets.
 
-    Each quad through i is generated once from i's side partner x: the
-    opposite side is any other pair {y < z} with y + z = i + x. Only quads
-    whose other three elements show three distinct colors can be rainbow, so
-    their color masks are tallied first; the pair {y, z} = {i, x} itself
-    shows at most two colors and drops out without a test.
+    T counts the quads through element i whose other three elements show
+    three distinct colors, and C[col] those of them that show col, so i
+    wearing col makes T - C[col] of its quads rainbow. Each quad through i is
+    found once from i's side partner x: the opposite side is any other pair
+    with sum s = i + x. So the two-colored pairs of each sum are tallied by
+    color once, and each target with a partner at that sum reads the tally.
+    The pair {i, x} itself shows x's color and drops out, so a row does not
+    depend on its own element's color.
     """
-    n = len(masks)
-    tally: dict[int, int] = {}
-    for x in range(n):
-        if x == i:
-            continue
-        s = i + x
-        mx = masks[x]
+    n = len(cols)
+    rows = [[0] * (k + 1) for _ in targets]
+    for s in range(1, 2 * n - 2):
+        tally: dict[tuple[int, int], int] = {}
         for y in range(max(0, s - n + 1), (s - 1) // 2 + 1):
-            m3 = mx | masks[y] | masks[s - y]
-            if m3.bit_count() == 3:
-                tally[m3] = tally.get(m3, 0) + 1
-    g = [0] * (k + 1)
-    for m3, cnt in tally.items():
-        for col in range(1, k + 1):
-            if not (m3 >> col) & 1:
-                g[col] += cnt
-    return g
+            a, b = cols[y], cols[s - y]
+            if a != b:
+                key = (a, b) if a < b else (b, a)
+                tally[key] = tally.get(key, 0) + 1
+        for row, i in zip(rows, targets):
+            x = s - i
+            if not 0 <= x < n or x == i:
+                continue
+            cx, t = cols[x], 0
+            for (a, b), cnt in tally.items():
+                if cx != a and cx != b:
+                    t += cnt
+                    row[a] += cnt
+                    row[b] += cnt
+            row[0] += t
+            row[cx] += t
+    return rows
 
 
 def delta_recolor(c: Coloring, i: int, newcolor: int) -> int:
@@ -192,26 +209,85 @@ def delta_recolor(c: Coloring, i: int, newcolor: int) -> int:
         raise ValueError(f"element {i} outside [1, {c.n}]")
     if not 1 <= newcolor <= c.k:
         raise ValueError(f"color {newcolor} outside [1, {c.k}]")
-    g = _gains([1 << col for col in c.colors], i - 1, c.k)
-    return g[newcolor] - g[c.colors[i - 1]]
+    [row] = _rows(list(c.colors), c.k, [i - 1])
+    return row[c.colors[i - 1]] - row[newcolor]
 
 
-def _climb(cols: list[int], k: int, move_budget: int) -> tuple[int, int]:
-    """Best-improvement hill climbing in place; returns (count gained, moves used)."""
-    masks = [1 << c for c in cols]
+def _table(cols: list[int], k: int) -> tuple[list[list[int]], int]:
+    """The gain row of every element, and the rainbow count of cols.
+
+    Every rainbow quad is rainbow through each of its four elements, so the
+    count is sum_i (T_i - C_i[cols[i]]) / 4.
+    """
+    rows = _rows(cols, k, range(len(cols)))
+    return rows, sum(row[0] - row[c] for row, c in zip(rows, cols)) // 4
+
+
+def _recolor(rows: list[list[int]], cols: list[int], p: int, new: int) -> None:
+    """Recolor element index p to new, keeping every gain row exact.
+
+    Only rows along the quads through p change. In a quad {p, x, y, z} with
+    p + x = y + z, the row of x sees the triple {p, y, z}, and the rows of y
+    and z see {p, x, z} and {p, x, y}; a triple counts once in T and once per
+    color while its colors are distinct, and p's color in it goes from old
+    to new. p's own row does not depend on p's color, so it stays.
+    """
+    n = len(cols)
+    old = cols[p]
+    cols[p] = new
+
+    def shift(e: int, a: int, b: int) -> None:
+        # the triple {p, a, b} seen from e, as p goes from old to new
+        ca, cb = cols[a], cols[b]
+        if ca == cb:
+            return
+        row = rows[e]
+        was = old != ca and old != cb
+        now = new != ca and new != cb
+        if was and now:
+            row[old] -= 1
+            row[new] += 1
+        elif was:
+            row[0] -= 1
+            row[old] -= 1
+            row[ca] -= 1
+            row[cb] -= 1
+        elif now:
+            row[0] += 1
+            row[new] += 1
+            row[ca] += 1
+            row[cb] += 1
+
+    for x in range(n):
+        if x == p:
+            continue
+        s = p + x
+        for y in range(max(0, s - n + 1), (s - 1) // 2 + 1):
+            if y == p or y == x:
+                continue  # the pair {p, x} itself
+            z = s - y
+            shift(x, y, z)
+            shift(y, x, z)
+            shift(z, x, y)
+
+
+def _climb(cols: list[int], rows: list[list[int]], move_budget: int) -> tuple[int, int]:
+    """Best-improvement hill climbing in place; returns (count gained, moves used).
+
+    Recoloring element i from cur to col changes the count by C_i[cur] -
+    C_i[col], read from the gain rows of _table; after each move _recolor
+    updates them along the O(n^2) quads through the moved element.
+    """
     gained = moves = 0
     while moves < move_budget:
         best_delta, best_i, best_col = 0, -1, -1
-        for i in range(len(cols)):
-            g = _gains(masks, i, k)
-            base = g[cols[i]]
-            for col in range(1, k + 1):
-                if g[col] - base > best_delta:
-                    best_delta, best_i, best_col = g[col] - base, i, col
+        for i, row in enumerate(rows):
+            low = min(row[1:])
+            if row[cols[i]] - low > best_delta:
+                best_delta, best_i, best_col = row[cols[i]] - low, i, row.index(low, 1)
         if best_i < 0:
             break  # plateau or local maximum: no strictly improving move
-        cols[best_i] = best_col
-        masks[best_i] = 1 << best_col
+        _recolor(rows, cols, best_i, best_col)
         gained += best_delta
         moves += 1
     return gained, moves
@@ -224,7 +300,9 @@ def local_search(
 
     Start 0 is the mod-k coloring; start r >= 1 draws a random coloring with
     seed + r. Within a climb the best strictly improving move wins, ties going
-    to the smallest element and then the smallest color. Deterministic.
+    to the smallest element and then the smallest color. Deterministic. The
+    search stops at the "move budget" or, after the last start, at a "local
+    maximum".
     """
     if k < 4 or n < k:
         raise ValueError(f"need n >= k >= 4, got n={n}, k={k}")
@@ -232,6 +310,8 @@ def local_search(
         raise ValueError("need at least one start")
     if max_moves < 0:
         raise ValueError("move budget must be nonnegative")
+    # the witness recount in _verified is a full naive scan
+    _check_scan(total_quads_formula(n), f"a local search at n={n}")
     best_count, best_cols, total_moves = -1, None, 0
     budget_left = max_moves
     for r in range(restarts):
@@ -240,8 +320,9 @@ def local_search(
         else:
             start = random_coloring(n, k, seed + r)
         cols = list(start.colors)
-        gained, used = _climb(cols, k, budget_left)
-        count = count_rainbow_naive(start).rainbow + gained
+        rows, count = _table(cols, k)
+        gained, used = _climb(cols, rows, budget_left)
+        count += gained
         budget_left -= used
         total_moves += used
         if count > best_count:
@@ -249,9 +330,11 @@ def local_search(
         if budget_left <= 0:
             break
     witness = Coloring(Domain.INTERVAL, n, k, best_cols)
+    stop = "move budget" if budget_left <= 0 else "local maximum"
     return _verified(
         SearchResult(
-            best_count, witness, SearchMethod.LOCAL, restarts, total_moves, seed, exact=False
+            best_count, witness, SearchMethod.LOCAL, restarts, total_moves, seed,
+            exact=False, stop=stop,
         )
     )
 

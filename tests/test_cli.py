@@ -4,8 +4,12 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from sidonrainbow import cli
 from sidonrainbow.cli import main
 from sidonrainbow.core import Domain, mod_coloring, serialize_coloring
+from sidonrainbow.enumeration import SCAN_CEILING, total_quads_formula
 
 
 def run(capsys, *argv):
@@ -100,6 +104,24 @@ def test_bounds_text_and_json(capsys):
 def test_bounds_bad_args(capsys):
     assert run(capsys, "bounds", "--n", "3", "--k", "4")[0] == 1
     assert run(capsys, "bounds", "--n", "10", "--k", "3")[0] == 1
+
+
+# the smallest n whose quads exceed the scan ceiling
+OVER_CEILING = next(n for n in range(4, 10**4) if total_quads_formula(n) > SCAN_CEILING)
+
+
+def test_total_brute_checks_scan_ceiling(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "enumerate_quads", lambda n: pytest.fail("enumeration started"))
+    rc, out, err = run(capsys, "total", "--n", str(OVER_CEILING), "--brute")
+    assert rc == 1 and out == ""
+    assert f"{total_quads_formula(OVER_CEILING)} quads" in err and str(SCAN_CEILING) in err
+
+
+def test_rainbow_naive_checks_scan_ceiling(capsys, tmp_path):
+    path = coloring_file(tmp_path, mod_coloring(OVER_CEILING, 4))
+    rc, out, err = run(capsys, "rainbow", "--coloring", path, "--method", "naive")
+    assert rc == 1 and out == ""
+    assert f"{total_quads_formula(OVER_CEILING)} quads" in err and str(SCAN_CEILING) in err
 
 
 def test_search_exhaustive(capsys, tmp_path):

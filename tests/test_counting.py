@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sidonrainbow import counting
+from sidonrainbow import counting, enumeration
 from sidonrainbow.core import Coloring, Domain, make_quad, mod_coloring, random_coloring
 from sidonrainbow.counting import (
     count_rainbow_cyclic_fast,
@@ -17,7 +17,7 @@ from sidonrainbow.counting import (
     non_rainbow_lower_bound,
     rainbow_via_energy,
 )
-from sidonrainbow.enumeration import enumerate_quads, total_quads_formula
+from sidonrainbow.enumeration import SCAN_CEILING, enumerate_quads, total_quads_formula
 
 
 def n_and_k(lo, hi):
@@ -161,6 +161,38 @@ def test_fast_counters_check_int64_headroom():
         )
         with pytest.raises(ValueError, match=f"n={limit + 1} .*n <= {limit}"):
             count(huge)
+
+
+def test_cyclic_scan_size_counts_scanned_pairs():
+    for n in range(1, 40):
+        buckets = counting._cyclic_pair_masks(mod_coloring(n, 1, Domain.CYCLIC))
+        assert counting._cyclic_scan_size(n) == sum(len(b) * (len(b) - 1) // 2 for b in buckets)
+
+
+class Unread:
+    """A stand-in coloring whose colors fail the test when read."""
+
+    def __init__(self, domain, n):
+        self.domain, self.n, self.k = domain, n, 4
+
+    @property
+    def colors(self):
+        pytest.fail("colors read")
+
+
+def test_naive_scans_check_the_ceiling():
+    enumeration._check_scan(SCAN_CEILING, "a scan at the ceiling")
+    with pytest.raises(ValueError):
+        enumeration._check_scan(SCAN_CEILING + 1, "a scan over the ceiling")
+    # the benchmark's naive scans at n = 240 stay under the ceiling
+    assert total_quads_formula(240) <= SCAN_CEILING
+    assert counting._cyclic_scan_size(240) <= SCAN_CEILING
+    flat = next(n for n in range(4, 10**4) if total_quads_formula(n) > SCAN_CEILING)
+    with pytest.raises(ValueError, match=f"{total_quads_formula(flat)} quads.*{SCAN_CEILING}"):
+        count_rainbow_naive(Unread(Domain.INTERVAL, flat))
+    cyc = next(n for n in range(4, 10**4) if counting._cyclic_scan_size(n) > SCAN_CEILING)
+    with pytest.raises(ValueError, match=f"{counting._cyclic_scan_size(cyc)} quads.*{SCAN_CEILING}"):
+        count_rainbow_cyclic_naive(Unread(Domain.CYCLIC, cyc))
 
 
 @given(st.integers(8, 50), st.integers(2, 6), st.integers(0, 10**6))

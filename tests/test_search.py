@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sidonrainbow import search
 from sidonrainbow.core import Coloring, Domain, mod_coloring, random_coloring
 from sidonrainbow.counting import count_rainbow_naive
+from sidonrainbow.enumeration import SCAN_CEILING, total_quads_formula
 from sidonrainbow.search import (
     BudgetExceededError,
     SearchMethod,
@@ -110,6 +112,57 @@ def test_delta_matches_recount_large_n():
         assert delta_recolor(c, i, newcolor) == count_rainbow_naive(recolored).rainbow - base
 
 
+def fresh_row(cols, k, i):
+    # T and C[1..k] of element index i straight from the definition: every
+    # quad through i whose other three elements show three distinct colors
+    row = [0] * (k + 1)
+    for quad in itertools.combinations(range(len(cols)), 4):
+        a, b, c, d = quad  # a < b < c < d: only a + d = b + c can balance
+        if a + d != b + c or i not in quad:
+            continue
+        others = {cols[e] for e in quad if e != i}
+        if len(others) == 3:
+            row[0] += 1
+            for col in others:
+                row[col] += 1
+    return row
+
+
+@given(st.integers(5, 40), st.integers(4, 8), st.integers(0, 10**6), st.data())
+@settings(max_examples=40, deadline=None)
+def test_gain_table_stays_exact(n, k, seed, data):
+    cols = list(random_coloring(n, k, seed).colors)
+    rows, count = search._table(cols, k)
+    assert count == count_rainbow_naive(Coloring(Domain.INTERVAL, n, k, tuple(cols))).rainbow
+    for _ in range(data.draw(st.integers(1, 4))):
+        p = data.draw(st.integers(0, n - 1))
+        new = data.draw(st.integers(1, k).filter(lambda col: col != cols[p]))
+        search._recolor(rows, cols, p, new)
+        assert cols[p] == new
+        assert rows == search._rows(cols, k, range(n))
+    for i in range(0, n, 7):
+        assert rows[i] == fresh_row(cols, k, i)
+
+
+# (n, k, seed, restarts, max_moves) -> best_count, moves and witness colors,
+# recorded with the climb that recomputed every element's gains on every move
+PINNED_CLIMBS = [
+    ((60, 4, 511025150, 4, 10), 4495, 10, "1234" * 15),
+    ((60, 8, 511025150, 4, 6), 10095, 6, "12345678" * 7 + "1234"),
+    ((26, 4, 0, 6, 400), 370, 61, "12143432121434321214343212"),
+    ((17, 4, 0, 6, 400), 101, 34, "24313424213124213"),
+    ((8, 5, 1, 6, 400), 13, 11, "25434125"),
+    ((45, 7, 11, 3, 25), 3702, 25, "1234567" * 6 + "123"),
+]
+
+
+@pytest.mark.parametrize("args, best, moves, witness", PINNED_CLIMBS)
+def test_local_search_pinned(args, best, moves, witness):
+    r = local_search(*args)
+    assert (r.best_count, r.moves) == (best, moves)
+    assert "".join(map(str, r.best_coloring.colors)) == witness
+
+
 def test_local_search_deterministic():
     a = local_search(30, 4, seed=5, restarts=3, max_moves=200)
     b = local_search(30, 4, seed=5, restarts=3, max_moves=200)
@@ -145,6 +198,22 @@ def test_local_search_crosscheck_n12():
     assert count_rainbow_naive(mod_coloring(12, 4)).rainbow <= r.best_count <= 37
 
 
+def test_local_search_stop_reason():
+    # every climb of (20, 4) ends at a local maximum well inside 500 moves
+    assert local_search(20, 4, seed=0, restarts=2, max_moves=500).stop == "local maximum"
+    r = local_search(20, 4, seed=0, restarts=2, max_moves=3)
+    assert (r.moves, r.stop) == (3, "move budget")
+    assert local_search(16, 4, seed=9, restarts=5, max_moves=0).stop == "move budget"
+
+
+def test_local_search_checks_scan_ceiling(monkeypatch):
+    n = next(n for n in range(4, 10**4) if total_quads_formula(n) > SCAN_CEILING)
+    monkeypatch.setattr(search, "mod_coloring", lambda *a: pytest.fail("start built"))
+    monkeypatch.setattr(search, "_rows", lambda *a: pytest.fail("table built"))
+    with pytest.raises(ValueError, match=f"{total_quads_formula(n)} quads.*{SCAN_CEILING}"):
+        local_search(n, 4, seed=0, restarts=1, max_moves=1)
+
+
 def test_local_search_rejects_bad_args():
     with pytest.raises(ValueError):
         local_search(10, 3, seed=0, restarts=1, max_moves=10)
@@ -168,6 +237,9 @@ def test_result_json():
     assert obj["best_count"] == 2
     assert obj["exact"] is True
     assert obj["coloring"]["colors"] == list(r.best_coloring.colors)
+    assert obj["stop"] == r.stop == "complete"
+    local = json.loads(result_to_json(local_search(20, 4, seed=0, restarts=2, max_moves=3)))
+    assert local["stop"] == "move budget"
 
 
 @pytest.mark.parametrize("n", range(4, 12))
