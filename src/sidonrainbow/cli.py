@@ -75,6 +75,22 @@ def _parse_range(text: str) -> tuple[int, int]:
     return a, b
 
 
+def _count_enumerated(n: int) -> int:
+    """total's third route: the quads enumerate_quads yields, counted after the
+    checks SidonQuad makes (x1 > x2 > x3 > x4, x1 + x4 = x2 + x3) and a range
+    check (1 <= x4, x1 <= n), vectorised per pair sum. Raises ValueError on
+    the first quad that fails them."""
+    count = 0
+    for q in enumerate_quads(n, arrays=True):
+        x1, x2, x3, x4 = q.T
+        ok = (1 <= x4) & (x4 < x3) & (x3 < x2) & (x2 < x1) & (x1 <= n) & (x1 + x4 == x2 + x3)
+        if not ok.all():
+            bad = tuple(q[ok.argmin()].tolist())
+            raise ValueError(f"enumerating n={n} gave {bad}, not a canonical Sidon 4-set of [{n}]")
+        count += len(q)
+    return count
+
+
 def _cmd_total(args) -> int:
     if args.range:
         lo, hi = _parse_range(args.range)
@@ -83,14 +99,16 @@ def _cmd_total(args) -> int:
     else:
         ns = [args.n]
         prefix = False
+    enumerated = [n for n in ns if n <= 60 or args.brute]
+    # one ceiling for the whole command, checked before any line is printed
+    _check_scan(sum(map(total_quads_formula, enumerated)), f"enumerating n={args.range or args.n}")
     status = EXIT_OK
     for n in ns:
         f = total_quads_formula(n)
         s = count_quads_by_sums(n)
         vals = [f, s]
-        if n <= 60 or args.brute:
-            _check_scan(f, f"enumerating n={n}")
-            vals.append(sum(1 for _ in enumerate_quads(n)))
+        if n in enumerated:
+            vals.append(_count_enumerated(n))
         ok = len(set(vals)) == 1
         if not ok:
             status = EXIT_MISMATCH

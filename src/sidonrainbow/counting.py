@@ -2,21 +2,22 @@
 
 Three independent interval-domain counters are kept deliberately separate:
 
-  count_rainbow_naive   scans every quad (the ground-truth oracle);
+  count_rainbow_naive   classifies every quad (the ground-truth oracle),
+                        one pair-sum bucket at a time, by comparing the
+                        colors of each two of its pairs on p x p matrices;
   count_rainbow_fast    inclusion-exclusion over ordered color 4-tuples,
                         from a pair-sum and a pair-difference histogram per
                         color class, built in fixed-size blocks (O(n) memory);
   rainbow_via_energy    for k = 4, three 4-fold additive energies with the
                         second side negated.
 
-The cyclic (Z_n) counters follow the same route with every sum and
+The cyclic (Z_n) counters follow the same routes with every sum and
 difference read mod n and the pairing treated as part of the solution.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Iterator
 
 import numpy as np
 
@@ -25,14 +26,75 @@ from .enumeration import _check_scan, f_n_exact, total_quads_formula
 from .repfn import IntSet, additive_energy, negate_set
 
 
-def iter_quad_tuples(n: int) -> Iterator[tuple[int, int, int, int]]:
-    """The enumerate_quads stream as bare tuples, same order, for tight loops."""
-    for l in range(5, 2 * n):
-        lo = max(1, l - n)
-        hi = (l - 1) // 2
-        for x4 in range(hi - 1, lo - 1, -1):
-            for x3 in range(hi, x4, -1):
-                yield (l - x4, l - x3, x3, x4)
+# Entries of one block of outer comparisons in the naive scans: buckets are
+# packed into blocks of at most this many (a bucket larger than a block is
+# scanned alone), so a block's uint8 matrices stay a few KiB while small n
+# still takes few numpy calls.
+_SCAN_BLOCK = 1 << 12
+
+
+def _block_tallies(u: np.ndarray, v: np.ndarray, bucket: np.ndarray) -> list[int]:
+    """tallies[d]: ordered (i, j), i != j, of pairs with colors (u, v) in one
+    bucket whose four colors take d distinct values; bucket[i] names pair i's
+    bucket, and pairs of different buckets are not counted.
+
+    Pair j adds [u_j not in {u_i, v_i}] + [v_j not in {u_i, v_i, u_j}]
+    colors to pair i's 1 + [u_i != v_i], on p x p outer comparisons. The
+    whole matrix is tallied, then the diagonal, each pair against itself
+    showing its own 1 + [u_i != v_i] colors, is taken off.
+    """
+    two = u != v
+    d = (u != u[:, None]).view(np.uint8)
+    d &= u != v[:, None]
+    new_v = v != u[:, None]
+    new_v &= v != v[:, None]
+    new_v &= two
+    d += new_v
+    d += 1 + two.view(np.uint8)[:, None]
+    d *= bucket == bucket[:, None]
+    tallies = [0] + [np.count_nonzero(d == t) for t in range(1, 5)]
+    doubles = np.count_nonzero(two)
+    tallies[1] -= len(two) - doubles
+    tallies[2] -= doubles
+    return tallies
+
+
+def _naive_tallies(c: Coloring, cyclic: bool) -> list[int]:
+    """tallies[d]: unordered pairs of distinct pairs {a < b} in one bucket
+    whose four colors take d distinct values. A bucket is a pair sum l of
+    [n], or a residue r mod n (the sums r and r + n) in the cyclic scan; two
+    distinct pairs of a bucket are disjoint, so each pair of them is one quad.
+
+    Buckets are classified a block of them at a time (_block_tallies), and
+    the symmetric tallies of ordered pairs of pairs are halved.
+    """
+    n = c.n
+    # only equality of colors matters: ranks in the narrowest dtype keep the
+    # comparison buffers small
+    index: dict[int, int] = {}
+    ranks = [index.setdefault(x, len(index)) for x in c.colors]
+    col = np.array([0] + ranks, dtype=np.min_scalar_type(len(index)))
+    l = np.arange(2 * n)
+    lo = np.maximum(1, l - n)
+    p = np.maximum(0, (l - 1) // 2 - lo + 1)  # pairs with sum l
+    sizes = p[:n] + p[n:] if cyclic else p  # pairs per bucket
+    bounds, width = [0], 0
+    for key, size in enumerate(sizes.tolist()):
+        if width and (width + size) ** 2 > _SCAN_BLOCK:
+            bounds.append(key)
+            width = 0
+        width += size
+    bounds.append(len(sizes))
+    tallies = [0] * 5
+    for k0, k1 in zip(bounds, bounds[1:]):
+        sums = np.concatenate((l[k0:k1], l[k0 + n : k1 + n])) if cyclic else l[k0:k1]
+        cnt = p[sums]
+        s = np.repeat(sums, cnt)  # sums ascend: searchsorted finds where each starts
+        a = lo[s] + np.arange(len(s)) - np.searchsorted(s, s)
+        u, v = col[a], col[s - a]
+        bucket = ((s % n if cyclic else s) - k0).astype(np.min_scalar_type(k1 - k0))
+        tallies = [t + m for t, m in zip(tallies, _block_tallies(u, v, bucket))]
+    return [t // 2 for t in tallies]
 
 
 def count_rainbow_naive(c: Coloring) -> ClassBreakdown:
@@ -40,11 +102,7 @@ def count_rainbow_naive(c: Coloring) -> ClassBreakdown:
     if c.domain is not Domain.INTERVAL:
         raise ValueError("count_rainbow_naive expects an interval coloring")
     _check_scan(total_quads_formula(c.n), f"a naive scan of n={c.n}")
-    masks = [1 << col for col in c.colors]
-    tallies = [0, 0, 0, 0, 0]
-    for x1, x2, x3, x4 in iter_quad_tuples(c.n):
-        m = masks[x1 - 1] | masks[x2 - 1] | masks[x3 - 1] | masks[x4 - 1]
-        tallies[m.bit_count()] += 1
+    tallies = _naive_tallies(c, cyclic=False)
     return ClassBreakdown(
         rainbow=tallies[4],
         monochromatic=tallies[1],
@@ -139,18 +197,6 @@ def rainbow_via_energy(c: Coloring) -> int:
     return total
 
 
-def _cyclic_pair_masks(c: Coloring) -> list[list[int]]:
-    """Color-pair masks of all unordered element pairs, bucketed by sum mod n."""
-    n = c.n
-    masks = [1 << col for col in c.colors]
-    buckets: list[list[int]] = [[] for _ in range(n)]
-    for a in range(1, n + 1):
-        ma = masks[a - 1]
-        for b in range(a + 1, n + 1):
-            buckets[(a + b) % n].append(ma | masks[b - 1])
-    return buckets
-
-
 def _cyclic_scan_size(n: int) -> int:
     """Pairs of same-sum pairs that count_rainbow_cyclic_naive scans: residue r
     has (n - #{a : 2a = r mod n}) / 2 pairs {a, b} with a + b = r mod n."""
@@ -169,14 +215,7 @@ def count_rainbow_cyclic_naive(c: Coloring) -> int:
     if c.domain is not Domain.CYCLIC:
         raise ValueError("count_rainbow_cyclic_naive expects a cyclic coloring")
     _check_scan(_cyclic_scan_size(c.n), f"a cyclic naive scan of n={c.n}")
-    count = 0
-    for bucket in _cyclic_pair_masks(c):
-        for i in range(len(bucket)):
-            mi = bucket[i]
-            for j in range(i + 1, len(bucket)):
-                if (mi | bucket[j]).bit_count() == 4:
-                    count += 1
-    return count
+    return _naive_tallies(c, cyclic=True)[4]
 
 
 def count_rainbow_cyclic_fast(c: Coloring) -> int:

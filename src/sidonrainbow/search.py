@@ -23,8 +23,8 @@ from enum import Enum
 from typing import Callable, Sequence
 
 from .core import Coloring, Domain, mod_coloring, random_coloring
-from .counting import count_rainbow_naive, iter_quad_tuples
-from .enumeration import _check_scan, total_quads_formula
+from .counting import count_rainbow_naive
+from .enumeration import _check_scan, enumerate_quads, total_quads_formula
 
 
 class BudgetExceededError(Exception):
@@ -108,10 +108,11 @@ def _walk(
         raise BudgetExceededError(
             f"{states} canonical colorings exceed the budget of {max_states}"
         )
-    # iter_quad_tuples lists the largest element first
+    # a quad's row lists its largest element first
     closing: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for a, b, c, d in iter_quad_tuples(n):
-        closing[a - 1].append((b - 1, c - 1, d - 1))
+    for q in enumerate_quads(n, arrays=True):
+        for a, b, c, d in q.tolist():
+            closing[a - 1].append((b - 1, c - 1, d - 1))
     masks = [0] * n
     sizes = [0] * (k + 1)
 

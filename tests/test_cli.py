@@ -111,10 +111,44 @@ OVER_CEILING = next(n for n in range(4, 10**4) if total_quads_formula(n) > SCAN_
 
 
 def test_total_brute_checks_scan_ceiling(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "enumerate_quads", lambda n: pytest.fail("enumeration started"))
+    monkeypatch.setattr(cli, "enumerate_quads", lambda n, **kw: pytest.fail("enumeration started"))
     rc, out, err = run(capsys, "total", "--n", str(OVER_CEILING), "--brute")
     assert rc == 1 and out == ""
     assert f"{total_quads_formula(OVER_CEILING)} quads" in err and str(SCAN_CEILING) in err
+
+
+def test_total_range_checks_one_ceiling(capsys, monkeypatch):
+    # every n of 4..400 is under the ceiling alone, but not all of them together
+    assert total_quads_formula(400) <= SCAN_CEILING
+    quads = sum(total_quads_formula(n) for n in range(4, 401))
+    with monkeypatch.context() as m:
+        m.setattr(cli, "enumerate_quads", lambda n, **kw: pytest.fail("enumeration started"))
+        rc, out, err = run(capsys, "total", "--range", "4..400", "--brute")
+    assert rc == 1 and out == ""
+    assert f"{quads} quads" in err and str(SCAN_CEILING) in err
+    # without --brute only n <= 60 is enumerated
+    rc, out, _ = run(capsys, "total", "--range", "4..1000")
+    assert rc == 0 and len(out.splitlines()) == 997
+    assert out.splitlines()[-1] == f"n=1000 {total_quads_formula(1000)} {total_quads_formula(1000)} OK"
+
+
+# each fails one check: descending order, balance, range [1, 9]
+@pytest.mark.parametrize("bad", [(6, 4, 5, 3), (7, 5, 4, 3), (10, 6, 5, 1), (5, 3, 2, 0)])
+def test_total_fails_on_a_bad_enumerated_quad(capsys, monkeypatch, bad):
+    real = cli.enumerate_quads
+
+    def one_bad(n, **kw):
+        for q in real(n, **kw):
+            if n == 9 and q[0].tolist() == [6, 5, 4, 3]:
+                q = q.copy()
+                q[0] = bad
+            yield q
+
+    monkeypatch.setattr(cli, "enumerate_quads", one_bad)
+    rc, _, err = run(capsys, "total", "--n", "9")
+    assert rc == 1 and str(bad) in err
+    rc, out, _ = run(capsys, "total", "--n", "8")
+    assert rc == 0 and out == "22 22 22 OK\n"
 
 
 def test_rainbow_naive_checks_scan_ceiling(capsys, tmp_path):

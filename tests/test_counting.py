@@ -1,5 +1,6 @@
 """The three rainbow counters against each other and against definitions."""
 import itertools
+import random
 from types import SimpleNamespace
 
 import pytest
@@ -7,13 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sidonrainbow import counting, enumeration
-from sidonrainbow.core import Coloring, Domain, make_quad, mod_coloring, random_coloring
+from sidonrainbow.core import ClassBreakdown, Coloring, Domain, make_quad, mod_coloring, random_coloring
 from sidonrainbow.counting import (
     count_rainbow_cyclic_fast,
     count_rainbow_cyclic_naive,
     count_rainbow_fast,
     count_rainbow_naive,
-    iter_quad_tuples,
     non_rainbow_lower_bound,
     rainbow_via_energy,
 )
@@ -28,21 +28,23 @@ def n_and_k(lo, hi):
     )
 
 
-def brute_breakdown_rainbow(c):
+def brute_breakdown(c):
     # definition-level recount over raw 4-subsets
-    count = 0
+    tallies = [0] * 5
     for sub in itertools.combinations(range(1, c.n + 1), 4):
         q = make_quad(*sub, c.n)
-        if q is not None and len({c.color_of(x) for x in q.elements}) == 4:
-            count += 1
-    return count
+        if q is not None:
+            tallies[len({c.color_of(x) for x in q.elements})] += 1
+    return ClassBreakdown(
+        rainbow=tallies[4], monochromatic=tallies[1], two_colored=tallies[2], three_colored=tallies[3]
+    )
 
 
-def test_tuple_stream_matches_quads():
-    for n in (4, 9, 23, 40):
-        tuples = list(iter_quad_tuples(n))
+def test_bucket_kernel_matches_quads():
+    for n in (1, 4, 9, 23, 40):
+        rows = [tuple(row) for q in enumerate_quads(n, arrays=True) for row in q.tolist()]
         quads = [q.elements for q in enumerate_quads(n)]
-        assert tuples == quads
+        assert rows == quads
 
 
 def test_constant_coloring_has_no_rainbow():
@@ -62,7 +64,27 @@ def test_mod4_interval_spot():
 def test_naive_matches_subset_scan():
     for seed in range(6):
         c = random_coloring(13, 4, seed)
-        assert count_rainbow_naive(c).rainbow == brute_breakdown_rainbow(c)
+        assert count_rainbow_naive(c) == brute_breakdown(c)
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_naive_breakdown_matches_definition(n):
+    for k in sorted({1, 2, 3, 4, 5, 7, n}):
+        for seed in range(3):
+            c = random_coloring(n, k, seed)
+            assert count_rainbow_naive(c) == brute_breakdown(c)
+
+
+@pytest.mark.parametrize("n", range(8, 25))
+def test_naive_scans_keep_wide_color_labels(n):
+    # labels past 8 bits that agree in their low byte: a scan that narrowed
+    # colors to uint8 would see one color
+    rng = random.Random(n)
+    cols = tuple(rng.choice((1, 257, 513, 769)) for _ in range(n))
+    flat = Coloring(Domain.INTERVAL, n, 1000, cols)
+    assert count_rainbow_naive(flat) == brute_breakdown(flat)
+    cyc = Coloring(Domain.CYCLIC, n, 1000, cols)
+    assert count_rainbow_cyclic_naive(cyc) == count_rainbow_cyclic_fast(cyc)
 
 
 @given(n_and_k(4, 60), st.integers(0, 10**6))
@@ -165,8 +187,8 @@ def test_fast_counters_check_int64_headroom():
 
 def test_cyclic_scan_size_counts_scanned_pairs():
     for n in range(1, 40):
-        buckets = counting._cyclic_pair_masks(mod_coloring(n, 1, Domain.CYCLIC))
-        assert counting._cyclic_scan_size(n) == sum(len(b) * (len(b) - 1) // 2 for b in buckets)
+        tallies = counting._naive_tallies(mod_coloring(n, 1, Domain.CYCLIC), cyclic=True)
+        assert counting._cyclic_scan_size(n) == sum(tallies)
 
 
 class Unread:
