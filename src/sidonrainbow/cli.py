@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import random
 import sys
 from fractions import Fraction
@@ -383,10 +384,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    # A parser is a web of reference cycles (each action points back at its
+    # container), so one built per main call would be left for the cyclic
+    # collector; parsing does not change it, so in-process callers share one.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:

@@ -102,18 +102,22 @@ def count_quads_by_sums(n: int) -> int:
 def enumerate_modular_quads(k: int) -> list[ModularSidonQuad]:
     """All canonical balanced pairings of four distinct residues mod k.
 
-    Direct scan over 4-subsets and their three pairings; deliberately free of
-    any closed-form shortcut so it can serve as the oracle for the count
-    formula. Sorted output.
+    Direct scan over residue buckets, the pairs {a < b} with a + b = r (mod k)
+    for each r: two distinct pairs of one bucket share no residue, so each
+    unordered two of them is one balanced pairing, the lexicographically
+    smaller pair first. Deliberately free of any closed-form shortcut so it
+    can serve as the oracle for the count formula. Sorted output.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    out = []
-    for w, x, y, z in itertools.combinations(range(1, k + 1), 4):
-        # the pair holding w first keeps the object canonical
-        for pa, pb in (((w, x), (y, z)), ((w, y), (x, z)), ((w, z), (x, y))):
-            if (pa[0] + pa[1]) % k == (pb[0] + pb[1]) % k:
-                out.append(ModularSidonQuad(pa, pb, k))
+    buckets: list[list[tuple[int, int]]] = [[] for _ in range(k)]
+    for a, b in itertools.combinations(range(1, k + 1), 2):
+        buckets[(a + b) % k].append((a, b))
+    out = [
+        ModularSidonQuad(pa, pb, k)
+        for bucket in buckets
+        for pa, pb in itertools.combinations(bucket, 2)
+    ]
     out.sort()
     return out
 

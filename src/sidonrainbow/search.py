@@ -4,8 +4,11 @@ One depth-first walker serves the exhaustive maximum and the Fox spot check.
 It visits canonical colorings only: the first element of each new color class
 receives the smallest unused color, which removes the k! label symmetry
 exactly. Each quad is scored once, when its largest element is colored, and
-the partial rainbow count travels down the tree, so a caller's hook can prune
-a subtree from its partial count and class sizes.
+the partial rainbow count travels down the tree with the number of quads
+still able to turn rainbow: those not yet scored whose colored elements show
+distinct colors. So a caller's hook can prune a subtree from its partial
+count, that bound and the class sizes; the exhaustive maximum prunes on
+count plus the bound, from a best count seeded by the mod-k coloring.
 
 One recolor-gain routine serves hill climbing and delta_recolor. It gives an
 element's gain row: T, the quads through the element whose other three
@@ -92,72 +95,114 @@ def canonical_coloring_count(n: int, k: int) -> int:
     return sum(row[1 : min(k, n) + 1])
 
 
-def _walk(
-    n: int, k: int, max_states: int, enter: Callable[[int, int, list[int], list[int]], bool]
-) -> None:
-    """Depth-first walk of the canonical k-colorings of [n], colors ascending.
-
-    Each quad is scored once, at the depth where its largest element gets its
-    color, and the running rainbow count is passed down the tree. At every
-    node, elements 0..pos-1 colored, enter(pos, count, sizes, masks) is
-    called; a False return skips the node's subtree. masks[i] is 1 << color
-    (0 while unassigned) and sizes[c] is the size of color class c.
-    """
+def _check_budget(n: int, k: int, max_states: int) -> None:
     states = canonical_coloring_count(n, k)
     if states > max_states:
         raise BudgetExceededError(
             f"{states} canonical colorings exceed the budget of {max_states}"
         )
-    # a quad's row lists its largest element first
+
+
+def _walk(
+    n: int, k: int, max_states: int, enter: Callable[[int, int, int, list[int], list[int]], bool]
+) -> None:
+    """Depth-first walk of the canonical k-colorings of [n], colors ascending.
+
+    Each quad is scored once, at the depth where its largest element gets its
+    color, and the running rainbow count is passed down the tree. So is alive,
+    the quads not yet scored whose colored elements still show distinct
+    colors: only those can still turn rainbow. At every node, elements
+    0..pos-1 colored, enter(pos, count, alive, sizes, cols) is called; a False
+    return skips the node's subtree. cols[i] is element i's color (0 while
+    unassigned) and sizes[c] is the size of color class c.
+    """
+    _check_budget(n, k, max_states)
+    # Colors go in index order, so the colored elements of a quad at the node
+    # of element e are the quad's elements below e. closing[e] lists them for
+    # the quads whose largest element is e; through[e] lists them, as a pair,
+    # for the quads with e second or third largest, where (d, e) stands for
+    # the one element d below e, since e is uncolored at its own node.
     closing: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    through: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for q in enumerate_quads(n, arrays=True):
-        for a, b, c, d in q.tolist():
-            closing[a - 1].append((b - 1, c - 1, d - 1))
+        # a row lists the quad's elements largest first
+        for a, b, c, d in (q - 1).tolist():
+            closing[a].append((b, c, d))
+            through[b].append((c, d))
+            through[c].append((d, c))
+    total = sum(map(len, closing))
+    # masks[i] is a single 1 in the w-bit field of element i's color (0 while
+    # unassigned). A quad's mask, the OR of its colored elements' masks, has
+    # a 1 in the field of each color it shows, so summing quad masks counts
+    # the quads showing each color, field by field; no field overflows, as
+    # fewer than 2**w quads are summed.
+    w = max(1, total.bit_length())
+    field = (1 << w) - 1
     masks = [0] * n
+    cols = [0] * n
     sizes = [0] * (k + 1)
 
-    def rec(pos: int, used: int, count: int):
-        if not enter(pos, count, sizes, masks) or pos == n:
+    def rec(pos: int, used: int, count: int, alive: int):
+        if not enter(pos, count, alive, sizes, cols) or pos == n:
             return
+        # the live quads that close here, and those through pos that stay open
         m3s = [masks[a] | masks[b] | masks[d] for a, b, d in closing[pos]]
         m3s = [m for m in m3s if m.bit_count() == 3]
+        m2s = [masks[a] | masks[b] for a, b in through[pos] if masks[a] != masks[b]]
+        by_color3, by_color2 = sum(m3s), sum(m2s)
+        alive -= len(m3s)
         for c in range(1, min(used + 1, k) + 1):
-            bit = 1 << c
-            masks[pos] = bit
+            shift = w * c
+            masks[pos] = 1 << shift
+            cols[pos] = c
             sizes[c] += 1
-            rec(pos + 1, max(used, c), count + sum(not m & bit for m in m3s))
+            # those showing c already: they fail to close rainbow or die open
+            lost3 = by_color3 >> shift & field
+            lost2 = by_color2 >> shift & field
+            rec(pos + 1, max(used, c), count + len(m3s) - lost3, alive - lost2)
             sizes[c] -= 1
-        masks[pos] = 0
+        masks[pos] = cols[pos] = 0
 
-    rec(0, 0, 0)
+    try:
+        rec(0, 0, 0, total)
+    finally:
+        del rec  # rec refers to itself; break that cycle so the tables go now
 
 
 def exhaustive_ar(n: int, k: int, max_states: int = 1_000_000) -> SearchResult:
     """Exact maximum rainbow count over all k-colorings of [n].
 
     Branch and bound over the canonical colorings: a subtree is skipped when
-    its partial count plus the quads not yet scored cannot beat the best so
-    far. Leaves come in lexicographic order, so the reported witness is the
-    first maximizer in that order.
+    its partial count plus the quads still able to turn rainbow (not yet
+    scored, colored elements all distinct) cannot beat the best so far.
+    Leaves come in lexicographic order, so the reported witness is the first
+    maximizer in that order.
     """
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
-    total = total_quads_formula(n)
-    # quads whose largest element is still uncolored, by number colored
-    left = [total] + [total - total_quads_formula(p) for p in range(1, n + 1)]
+    _check_budget(n, k, max_states)
     best_count = -1
-    best_cols: tuple[int, ...] = ()
+    best_cols: tuple[int, ...] = (1,) * n
+    if k < 4:
+        # no quad can be rainbow, so the first canonical coloring is the first
+        # maximizer; the walk would only build its quad tables
+        best_count = 0
+    elif n >= k:
+        # the mod-k coloring is a canonical leaf, so from one below its count
+        # the prune never skips the first maximizer
+        best_count = count_rainbow_naive(mod_coloring(n, k)).rainbow - 1
 
-    def enter(pos: int, count: int, sizes: list[int], masks: list[int]) -> bool:
+    def enter(pos: int, count: int, alive: int, sizes: list[int], cols: list[int]) -> bool:
         nonlocal best_count, best_cols
-        if count + left[pos] <= best_count:
+        if count + alive <= best_count:
             return False
         if pos == n:
             best_count = count
-            best_cols = tuple(m.bit_length() - 1 for m in masks)
+            best_cols = tuple(cols)
         return True
 
-    _walk(n, k, max_states, enter)
+    if k >= 4:
+        _walk(n, k, max_states, enter)
     witness = Coloring(Domain.INTERVAL, n, k, best_cols)
     return _verified(
         SearchResult(
@@ -352,7 +397,7 @@ def fox_spot_check(n: int, max_states: int = 1_000_000) -> bool:
     threshold = -((n + 1) // -6)  # ceil((n+1)/6)
     ok = True
 
-    def enter(pos: int, count: int, sizes: list[int], masks: list[int]) -> bool:
+    def enter(pos: int, count: int, alive: int, sizes: list[int], cols: list[int]) -> bool:
         nonlocal ok
         if not ok or count:
             return False

@@ -183,6 +183,13 @@ def test_search_budget_exit_code(capsys):
     assert "budget" in err
 
 
+def test_search_budget_checked_before_any_scan(capsys):
+    # at n = 500 a naive scan would already exceed SCAN_CEILING (exit 1)
+    rc, _, err = run(capsys, "search", "--n", "500", "--k", "4", "--exhaustive")
+    assert rc == 3
+    assert "budget" in err
+
+
 def test_search_bad_args(capsys):
     assert run(capsys, "search", "--n", "10", "--k", "3", "--local")[0] == 1
     assert run(capsys, "search", "--n", "10", "--k", "4")[0] == 1  # needs a mode

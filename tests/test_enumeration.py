@@ -90,12 +90,24 @@ def test_modular_formula_small_k():
     assert [modular_count_formula(k) for k in (1, 2, 3)] == [0, 0, 0]
 
 
+def brute_modular(k):
+    # every 4-subset of residues and each of its three pairings
+    out = []
+    for w, x, y, z in itertools.combinations(range(1, k + 1), 4):
+        for pa, pb in (((w, x), (y, z)), ((w, y), (x, z)), ((w, z), (x, y))):
+            if (sum(pa) - sum(pb)) % k == 0:
+                out.append(ModularSidonQuad(pa, pb, k))
+    return sorted(out)
+
+
 def test_modular_enumeration_matches_formula():
     for k in range(4, 31):
         quads = enumerate_modular_quads(k)
         assert len(quads) == modular_count_formula(k)
         assert quads == sorted(quads)
         assert len(set(quads)) == len(quads)
+        if k <= 20:
+            assert quads == brute_modular(k)
 
 
 @pytest.mark.parametrize("n, b, a, expected", [(10, 1, 2, 7), (10, 1, 10, 4)])

@@ -1,4 +1,5 @@
 """Exhaustive and local search over colorings."""
+import gc
 import itertools
 import json
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from sidonrainbow import search
 from sidonrainbow.core import Coloring, Domain, mod_coloring, random_coloring
 from sidonrainbow.counting import count_rainbow_naive
-from sidonrainbow.enumeration import SCAN_CEILING, total_quads_formula
+from sidonrainbow.enumeration import SCAN_CEILING, enumerate_quads, total_quads_formula
 from sidonrainbow.search import (
     BudgetExceededError,
     SearchMethod,
@@ -55,6 +56,20 @@ def test_exhaustive_budget():
         exhaustive_ar(9, 4, max_states=100)
 
 
+def test_exhaustive_below_four_colors_skips_the_walk(monkeypatch):
+    # no quad can be rainbow, so no quad table is built; the budget still holds
+    def walk(*args):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(search, "_walk", walk)
+    for k in (1, 2, 3):
+        r = exhaustive_ar(12, k)
+        assert (r.best_count, r.best_coloring.colors) == (0, (1,) * 12)
+    assert exhaustive_ar(200, 1).best_count == 0
+    with pytest.raises(BudgetExceededError):
+        exhaustive_ar(30, 2)
+
+
 def test_exhaustive_dominates_any_coloring():
     r = exhaustive_ar(8, 4)
     for seed in range(10):
@@ -65,12 +80,57 @@ def test_exhaustive_dominates_any_coloring():
 
 def test_exhaustive_witness_is_first_maximizer():
     # the pruned walk must report the lexicographically first maximizing canonical coloring
-    for n in range(1, 9):
+    cases = [(n, 3) for n in range(1, 9)] + [(n, 4) for n in range(1, 9)]
+    cases += [(n, 5) for n in range(1, 8)]
+    cases += [(n, 6) for n in range(1, 6)]  # k > n: no mod-k coloring seeds the best count
+    for n, k in cases:
         first = max(
-            brute_canonical(n, 4),
-            key=lambda cols: count_rainbow_naive(Coloring(Domain.INTERVAL, n, 4, cols)).rainbow,
+            brute_canonical(n, k),
+            key=lambda cols: count_rainbow_naive(Coloring(Domain.INTERVAL, n, k, cols)).rainbow,
         )
-        assert exhaustive_ar(n, 4).best_coloring.colors == first
+        assert exhaustive_ar(n, k).best_coloring.colors == first
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_walk_node_invariants(k):
+    # at every node of the full tree: count is the rainbow quads already closed,
+    # and alive the open quads whose colored elements still show distinct colors
+    for n in range(1, 10):
+        quads = [tuple(row) for q in enumerate_quads(n, arrays=True) for row in (q - 1).tolist()]
+        nodes = 0
+
+        def enter(pos, count, alive, sizes, cols):
+            nonlocal nodes
+            nodes += 1
+            assert cols[pos:] == [0] * (n - pos) and 0 not in cols[:pos]
+            assert sizes[1:] == [cols.count(c) for c in range(1, k + 1)]
+            shown = [{cols[e] for e in q if e < pos} for q in quads]
+            closed = [len(s) for q, s in zip(quads, shown) if q[0] < pos]
+            assert count == closed.count(4)
+            assert alive == sum(
+                len(s) == sum(e < pos for e in q) for q, s in zip(quads, shown) if q[0] >= pos
+            )
+            return True
+
+        search._walk(n, k, 10**6, enter)
+        assert nodes == sum(canonical_coloring_count(p, k) for p in range(1, n + 1)) + 1
+
+
+def test_walk_leaves_no_cyclic_garbage():
+    # the walker's quad tables are freed when it returns, not by the cyclic collector
+    exhaustive_ar(9, 4)  # first calls may fill lazy caches
+    fox_spot_check(9)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        exhaustive_ar(9, 4)
+        assert gc.collect() == 0
+        fox_spot_check(9)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_delta_recolor_hand_case():
