@@ -27,6 +27,7 @@ from .counting import (
 )
 from .enumeration import (
     _check_scan,
+    _check_sums,
     count_quads_by_sums,
     enumerate_quads,
     total_quads_formula,
@@ -82,7 +83,7 @@ def _count_enumerated(n: int) -> int:
     check (1 <= x4, x1 <= n), vectorised per pair sum. Raises ValueError on
     the first quad that fails them."""
     count = 0
-    for q in enumerate_quads(n, arrays=True):
+    for q in enumerate_quads(n):
         x1, x2, x3, x4 = q.T
         ok = (1 <= x4) & (x4 < x3) & (x3 < x2) & (x2 < x1) & (x1 <= n) & (x1 + x4 == x2 + x3)
         if not ok.all():
@@ -101,7 +102,8 @@ def _cmd_total(args) -> int:
         ns = [args.n]
         prefix = False
     enumerated = [n for n in ns if n <= 60 or args.brute]
-    # one ceiling for the whole command, checked before any line is printed
+    # the limits for the whole command, checked before any line is printed
+    _check_sums(ns[-1])
     _check_scan(sum(map(total_quads_formula, enumerated)), f"enumerating n={args.range or args.n}")
     status = EXIT_OK
     for n in ns:

@@ -35,6 +35,8 @@ class Coloring:
     colors: tuple[int, ...]
 
     def __post_init__(self):
+        if any(not isinstance(v, int) or isinstance(v, bool) for v in (self.n, self.k)):
+            raise ValueError("fields n and k must be integers")
         if self.n < 1 or self.k < 1:
             raise ValueError(f"need n >= 1 and k >= 1, got n={self.n}, k={self.k}")
         if len(self.colors) != self.n:
@@ -51,11 +53,11 @@ class Coloring:
             raise ValueError(f"element {x} outside [1, {self.n}]")
         return self.colors[x - 1]
 
-    def classes(self) -> list[list[int]]:
-        """Color classes X_1..X_k as sorted element lists (index 0 holds X_1)."""
-        out: list[list[int]] = [[] for _ in range(self.k)]
+    def classes(self) -> dict[int, list[int]]:
+        """Color classes as sorted element lists, keyed by the colors that occur."""
+        out: dict[int, list[int]] = {}
         for x, c in enumerate(self.colors, start=1):
-            out[c - 1].append(x)
+            out.setdefault(c, []).append(x)
         return out
 
 
@@ -196,18 +198,10 @@ def parse_coloring(text: str) -> Coloring:
         domain = Domain(obj["domain"])
     except ValueError:
         raise ValueError(f"unknown domain {obj['domain']!r}") from None
-    n, k = obj["n"], obj["k"]
-    if not isinstance(n, int) or not isinstance(k, int):
-        raise ValueError("fields n and k must be integers")
     colors = obj["colors"]
     if not isinstance(colors, list):
         raise ValueError("field colors must be a list")
-    if len(colors) != n:
-        raise ValueError(f"length mismatch: expected {n} colors, got {len(colors)}")
-    for idx, c in enumerate(colors):
-        if not isinstance(c, int) or isinstance(c, bool) or not 1 <= c <= k:
-            raise ValueError(f"color out of range at index {idx}")
-    return Coloring(domain, n, k, tuple(colors))
+    return Coloring(domain, obj["n"], obj["k"], tuple(colors))
 
 
 def parse_coloring_lines(text: str) -> list[Coloring]:

@@ -157,7 +157,7 @@ def _rainbow_from_histograms(c: Coloring, cyclic: bool) -> int:
     s = np.full(n, n) if cyclic else np.minimum(l - 1, 2 * n + 1 - l).clip(0)
     d = np.zeros(2 * n + 1, dtype=np.int64)
     r_sq = q_sq = 0
-    for cls in c.classes():
+    for cls in c.classes().values():
         x = np.array(cls, dtype=np.int64)
         q, diffs = _pair_histograms(x, n)
         d += diffs
@@ -189,7 +189,8 @@ def rainbow_via_energy(c: Coloring) -> int:
         raise ValueError("rainbow_via_energy expects an interval coloring")
     if c.k != 4:
         raise ValueError(f"energy route needs exactly 4 colors, got k={c.k}")
-    X = [IntSet(cls) for cls in c.classes()]
+    classes = c.classes()
+    X = [IntSet(classes.get(i, [])) for i in range(1, 5)]
     negX = [negate_set(x) for x in X]
     total = 0
     for a, b in (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))):
@@ -236,7 +237,7 @@ def non_rainbow_lower_bound(c: Coloring) -> Fraction:
         raise ValueError("non_rainbow_lower_bound expects an interval coloring")
     scale = Fraction(1, 6)
     total = 0
-    for cls in c.classes():
+    for cls in c.classes().values():
         for bi in range(len(cls)):
             for ai in range(bi + 1, len(cls)):
                 total += f_n_exact(c.n, cls[bi], cls[ai])

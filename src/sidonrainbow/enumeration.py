@@ -4,7 +4,7 @@ Pairs {a < b} of [n] with a + b = l exist for max(1, l-n) <= a <= (l-1)//2, and
 two distinct pairs with the same sum are automatically disjoint, so every
 unordered pair of same-sum pairs is one Sidon 4-set. That observation drives
 the enumerator, which builds the quads of one pair sum at a time as a numpy
-array, and the sum-bucket counting oracle.
+array of rows (x1, x2, x3, x4), and the sum-bucket counting oracle.
 """
 from __future__ import annotations
 
@@ -13,14 +13,12 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import ModularSidonQuad, SidonQuad
+from .core import ModularSidonQuad
 
 
 # The most quads one scan may visit. At the ceiling (n = 494 for [n], n = 432
 # for Z_n) the naive rainbow counters take about 0.1 s and total's checked
-# enumeration of arrays about 0.06 s on a 2-vCPU x86 host. enumerate_quads
-# building a SidonQuad per quad is not bounded by it: about 2 us a quad
-# there, 20 s at the ceiling.
+# enumeration about 0.06 s on a 2-vCPU x86 host.
 SCAN_CEILING = 10_000_000
 
 
@@ -39,15 +37,12 @@ def pairs_with_sum(n: int, l: int) -> int:
     return max(0, hi - lo + 1)
 
 
-def enumerate_quads(n: int, *, arrays: bool = False) -> Iterator[SidonQuad] | Iterator[np.ndarray]:
-    """Yield every canonical Sidon 4-set of [n] exactly once.
+def enumerate_quads(n: int) -> Iterator[np.ndarray]:
+    """Yield every canonical Sidon 4-set of [n] exactly once, as one int32 array
+    of rows (x1, x2, x3, x4) per nonempty pair sum, unchecked.
 
     Order is part of the contract: pair-sum l ascending, then the tuple
     (x1, x2, x3, x4) lexicographically ascending within each l.
-
-    With arrays=True the same quads come one pair sum at a time, each sum's
-    as an int32 array of rows (x1, x2, x3, x4), unchecked; otherwise each row
-    is checked as it becomes a SidonQuad.
 
     A sum l has p pairs {l - x, x}, smaller element x from hi down to lo, and
     its quads are the rows (r, c) of np.tril_indices(p, -1): x4 = hi - r,
@@ -69,11 +64,7 @@ def enumerate_quads(n: int, *, arrays: bool = False) -> Iterator[SidonQuad] | It
         np.subtract(hi, cols[:m], out=x3)
         np.subtract(l, x3, out=x2)
         np.subtract(l, x4, out=x1)
-        if arrays:
-            yield q.T
-        else:
-            for row in q.T.tolist():
-                yield SidonQuad(*row)
+        yield q.T
 
 
 def total_quads_formula(n: int) -> int:
@@ -87,12 +78,21 @@ def total_quads_formula(n: int) -> int:
     return num // 24
 
 
+# The largest n with total_quads_formula(n) <= 2**63 - 1: the int64 sum cannot wrap.
+SUMS_MAX_N = 4_801_281
+
+
+def _check_sums(n: int) -> None:
+    """Raise ValueError, before anything is allocated, when count_quads_by_sums would wrap."""
+    if n > SUMS_MAX_N:
+        raise ValueError(f"n={n} is too large for the int64 sum-bucket count: need n <= {SUMS_MAX_N}")
+
+
 def count_quads_by_sums(n: int) -> int:
     """Independent total via sum buckets: sum over l of C(p(l), 2)."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if n < 4:
-        return 0
+    _check_sums(n)
     l = np.arange(3, 2 * n, dtype=np.int64)
     p = (l - 1) // 2 - np.maximum(1, l - n) + 1
     p = np.maximum(p, 0)
@@ -165,4 +165,5 @@ def f_n_scan(n: int, b: int, a: int) -> int:
     """Test oracle for f_n_exact: scan every quad for membership of both values."""
     if not 1 <= b < a <= n:
         raise ValueError(f"need 1 <= b < a <= n, got b={b}, a={a}, n={n}")
-    return sum(1 for q in enumerate_quads(n) if a in q.elements and b in q.elements)
+    hits = ((q == a).any(axis=1) & (q == b).any(axis=1) for q in enumerate_quads(n))
+    return sum(int(h.sum()) for h in hits)

@@ -124,7 +124,7 @@ def _walk(
     # the one element d below e, since e is uncolored at its own node.
     closing: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     through: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for q in enumerate_quads(n, arrays=True):
+    for q in enumerate_quads(n):
         # a row lists the quad's elements largest first
         for a, b, c, d in (q - 1).tolist():
             closing[a].append((b, c, d))
@@ -202,7 +202,8 @@ def exhaustive_ar(n: int, k: int, max_states: int = 1_000_000) -> SearchResult:
         return True
 
     if k >= 4:
-        _walk(n, k, max_states, enter)
+        # a canonical coloring of [n] uses at most n colors
+        _walk(n, min(k, n), max_states, enter)
     witness = Coloring(Domain.INTERVAL, n, k, best_cols)
     return _verified(
         SearchResult(

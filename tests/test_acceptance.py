@@ -9,7 +9,7 @@ import time
 from fractions import Fraction
 
 from sidonrainbow.bounds import bounds_report, lb_coefficient
-from sidonrainbow.core import Domain, ModularSidonQuad, mod_coloring, random_coloring
+from sidonrainbow.core import Domain, ModularSidonQuad, SidonQuad, mod_coloring, random_coloring
 from sidonrainbow.counting import (
     count_rainbow_cyclic_fast,
     count_rainbow_cyclic_naive,
@@ -55,7 +55,7 @@ def test_a1_total_count_three_routes_agree():
     for n in range(4, 61):
         formula = total_quads_formula(n)
         assert count_quads_by_sums(n) == formula
-        assert sum(1 for _ in enumerate_quads(n)) == formula
+        assert len([SidonQuad(*row) for q in enumerate_quads(n) for row in q.tolist()]) == formula
     assert total_quads_formula(4) == 1
     assert total_quads_formula(5) == 3
     assert total_quads_formula(10) == 50

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from sidonrainbow import cli
+from sidonrainbow import cli, enumeration
 from sidonrainbow.cli import main
 from sidonrainbow.core import Domain, mod_coloring, serialize_coloring
 from sidonrainbow.enumeration import SCAN_CEILING, total_quads_formula
@@ -111,7 +111,7 @@ OVER_CEILING = next(n for n in range(4, 10**4) if total_quads_formula(n) > SCAN_
 
 
 def test_total_brute_checks_scan_ceiling(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "enumerate_quads", lambda n, **kw: pytest.fail("enumeration started"))
+    monkeypatch.setattr(cli, "enumerate_quads", lambda n: pytest.fail("enumeration started"))
     rc, out, err = run(capsys, "total", "--n", str(OVER_CEILING), "--brute")
     assert rc == 1 and out == ""
     assert f"{total_quads_formula(OVER_CEILING)} quads" in err and str(SCAN_CEILING) in err
@@ -122,7 +122,7 @@ def test_total_range_checks_one_ceiling(capsys, monkeypatch):
     assert total_quads_formula(400) <= SCAN_CEILING
     quads = sum(total_quads_formula(n) for n in range(4, 401))
     with monkeypatch.context() as m:
-        m.setattr(cli, "enumerate_quads", lambda n, **kw: pytest.fail("enumeration started"))
+        m.setattr(cli, "enumerate_quads", lambda n: pytest.fail("enumeration started"))
         rc, out, err = run(capsys, "total", "--range", "4..400", "--brute")
     assert rc == 1 and out == ""
     assert f"{quads} quads" in err and str(SCAN_CEILING) in err
@@ -137,8 +137,8 @@ def test_total_range_checks_one_ceiling(capsys, monkeypatch):
 def test_total_fails_on_a_bad_enumerated_quad(capsys, monkeypatch, bad):
     real = cli.enumerate_quads
 
-    def one_bad(n, **kw):
-        for q in real(n, **kw):
+    def one_bad(n):
+        for q in real(n):
             if n == 9 and q[0].tolist() == [6, 5, 4, 3]:
                 q = q.copy()
                 q[0] = bad
@@ -149,6 +149,15 @@ def test_total_fails_on_a_bad_enumerated_quad(capsys, monkeypatch, bad):
     assert rc == 1 and str(bad) in err
     rc, out, _ = run(capsys, "total", "--n", "8")
     assert rc == 0 and out == "22 22 22 OK\n"
+
+
+@pytest.mark.parametrize("argv", [("--n", "4801282"), ("--range", "4801280..4801282")])
+def test_total_checks_int64_limit_first(capsys, monkeypatch, argv):
+    # above n = 4801281 the sum-bucket count would wrap int64 and blame the formula
+    monkeypatch.setattr(enumeration, "np", None)  # the check comes before any array
+    rc, out, err = run(capsys, "total", *argv)
+    assert rc == 1 and out == ""
+    assert "n <= 4801281" in err
 
 
 def test_rainbow_naive_checks_scan_ceiling(capsys, tmp_path):

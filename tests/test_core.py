@@ -24,7 +24,9 @@ def test_coloring_basic():
     c = Coloring(Domain.INTERVAL, 5, 3, (1, 2, 3, 1, 2))
     assert c.color_of(1) == 1
     assert c.color_of(5) == 2
-    assert c.classes() == [[1, 4], [2, 5], [3]]
+    assert c.classes() == {1: [1, 4], 2: [2, 5], 3: [3]}
+    # colors that do not occur have no class
+    assert Coloring(Domain.INTERVAL, 4, 10**9, (7, 2, 7, 2)).classes() == {7: [1, 3], 2: [2, 4]}
 
 
 def test_coloring_rejects_bad_shapes():
@@ -36,6 +38,9 @@ def test_coloring_rejects_bad_shapes():
         Coloring(Domain.INTERVAL, 2, 2, (True, 1))
     with pytest.raises(ValueError):
         Coloring(Domain.INTERVAL, 0, 1, ())
+    for n, k in ((True, 1), (1, True), ("1", 1)):
+        with pytest.raises(ValueError, match="must be integers"):
+            Coloring(Domain.INTERVAL, n, k, (1,))
 
 
 def test_interval_lookup_bounds():
@@ -138,6 +143,8 @@ def test_round_trip_random(n, k, seed):
         ('{"domain":"interval","n":2,"k":1,"colors":[1,2]}', "color out of range at index 1"),
         ('{"domain":"interval","n":2,"k":1,"colors":[1,true]}', "color out of range at index 1"),
         ('{"domain":"interval","n":"2","k":1,"colors":[1,1]}', "must be integers"),
+        ('{"domain":"interval","n":true,"k":1,"colors":[1]}', "must be integers"),
+        ('{"domain":"interval","n":1,"k":true,"colors":[1]}', "must be integers"),
     ],
 )
 def test_parse_errors(text, message):

@@ -1,6 +1,7 @@
 """The three rainbow counters against each other and against definitions."""
 import itertools
 import random
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -17,7 +18,7 @@ from sidonrainbow.counting import (
     non_rainbow_lower_bound,
     rainbow_via_energy,
 )
-from sidonrainbow.enumeration import SCAN_CEILING, enumerate_quads, total_quads_formula
+from sidonrainbow.enumeration import SCAN_CEILING, total_quads_formula
 
 
 def n_and_k(lo, hi):
@@ -38,13 +39,6 @@ def brute_breakdown(c):
     return ClassBreakdown(
         rainbow=tallies[4], monochromatic=tallies[1], two_colored=tallies[2], three_colored=tallies[3]
     )
-
-
-def test_bucket_kernel_matches_quads():
-    for n in (1, 4, 9, 23, 40):
-        rows = [tuple(row) for q in enumerate_quads(n, arrays=True) for row in q.tolist()]
-        quads = [q.elements for q in enumerate_quads(n)]
-        assert rows == quads
 
 
 def test_constant_coloring_has_no_rainbow():
@@ -183,6 +177,26 @@ def test_fast_counters_check_int64_headroom():
         )
         with pytest.raises(ValueError, match=f"n={limit + 1} .*n <= {limit}"):
             count(huge)
+
+
+def test_counters_cost_only_the_colors_that_occur():
+    # k = 10**4 colors, five of them used: absent colors must cost nothing
+    colors = (1, 9999, 1, 5000, 10**4, 9999, 2, 5000)
+    c = Coloring(Domain.INTERVAL, 8, 10**4, colors)
+    cc = Coloring(Domain.CYCLIC, 8, 10**4, colors)
+    relabelled = Coloring(Domain.INTERVAL, 8, 5, (1, 2, 1, 3, 4, 2, 5, 3))
+    for count, coloring, want in (
+        (count_rainbow_fast, c, count_rainbow_naive(c).rainbow),
+        (count_rainbow_cyclic_fast, cc, count_rainbow_cyclic_naive(cc)),
+        (non_rainbow_lower_bound, c, non_rainbow_lower_bound(relabelled)),
+    ):
+        tracemalloc.start()
+        try:
+            got = count(coloring)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want > 0 and peak < 64 * 1024
 
 
 def test_cyclic_scan_size_counts_scanned_pairs():

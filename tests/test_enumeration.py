@@ -1,10 +1,13 @@
 """Exact enumeration and counting of the 4-set families."""
+import inspect
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sidonrainbow import enumeration
 from sidonrainbow.core import ModularSidonQuad, SidonQuad, make_quad
 from sidonrainbow.enumeration import (
     count_quads_by_sums,
@@ -18,6 +21,11 @@ from sidonrainbow.enumeration import (
 )
 
 
+def quads(n):
+    # each enumerated row, checked as a SidonQuad
+    return [SidonQuad(*row) for q in enumerate_quads(n) for row in q.tolist()]
+
+
 def brute_pairs(n, l):
     return sum(1 for a in range(1, n + 1) for b in range(a + 1, n + 1) if a + b == l)
 
@@ -28,11 +36,20 @@ def test_pairs_with_sum(n, l):
 
 
 def test_enumerate_small():
-    assert list(enumerate_quads(4)) == [SidonQuad(4, 3, 2, 1)]
-    assert len(list(enumerate_quads(5))) == 3
-    assert list(enumerate_quads(3)) == []
+    assert quads(4) == [SidonQuad(4, 3, 2, 1)]
+    assert len(quads(5)) == 3
+    assert quads(3) == []
     with pytest.raises(ValueError):
         list(enumerate_quads(0))
+
+
+def test_enumerate_yields_int32_rows_per_pair_sum():
+    assert inspect.isgeneratorfunction(enumerate_quads)  # the benchmark tracer times it per next()
+    for n in (4, 9, 20):
+        arrays = list(enumerate_quads(n))
+        assert all(q.dtype == np.int32 and q.ndim == 2 and q.shape[1] == 4 and len(q) for q in arrays)
+        sums = [set((q[:, 0] + q[:, 3]).tolist()) for q in arrays]
+        assert all(len(s) == 1 for s in sums) and len(set.union(*sums)) == len(arrays)
 
 
 def test_enumerate_matches_subset_scan():
@@ -43,15 +60,14 @@ def test_enumerate_matches_subset_scan():
             for sub in itertools.combinations(range(1, n + 1), 4)
             if (q := make_quad(*sub, n)) is not None
         }
-        got = list(enumerate_quads(n))
+        got = quads(n)
         assert len(got) == len(set(got))
         assert set(got) == expected
 
 
 def test_enumerate_order_contract():
     for n in (7, 12, 19):
-        quads = list(enumerate_quads(n))
-        keys = [(q.pair_sum, q.elements) for q in quads]
+        keys = [(q.pair_sum, q.elements) for q in quads(n)]
         assert keys == sorted(keys)
 
 
@@ -64,12 +80,20 @@ def test_three_counting_routes_agree():
     for n in range(1, 30):
         formula = total_quads_formula(n)
         assert count_quads_by_sums(n) == formula
-        assert sum(1 for _ in enumerate_quads(n)) == formula
+        assert len(quads(n)) == formula
 
 
 def test_sums_route_large():
     for n in (100, 999, 2048):
         assert count_quads_by_sums(n) == total_quads_formula(n)
+
+
+def test_sums_route_checks_int64_limit(monkeypatch):
+    limit = enumeration.SUMS_MAX_N
+    assert total_quads_formula(limit) <= 2**63 - 1 < total_quads_formula(limit + 1)
+    monkeypatch.setattr(enumeration, "np", None)  # the check comes before any array
+    with pytest.raises(ValueError, match=f"n={limit + 1} .*n <= {limit}"):
+        count_quads_by_sums(limit + 1)
 
 
 def test_modular_enumeration_k4():

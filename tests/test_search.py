@@ -2,6 +2,7 @@
 import gc
 import itertools
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -70,6 +71,19 @@ def test_exhaustive_below_four_colors_skips_the_walk(monkeypatch):
         exhaustive_ar(30, 2)
 
 
+def test_exhaustive_many_colors_costs_what_n_colors_cost():
+    # a canonical coloring of [6] uses at most 6 colors, so k = 10**5 must not size anything
+    tracemalloc.start()
+    try:
+        r = exhaustive_ar(6, 10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = exhaustive_ar(6, 6)
+    assert (r.best_count, r.best_coloring.colors) == (want.best_count, want.best_coloring.colors)
+    assert peak < 64 * 1024
+
+
 def test_exhaustive_dominates_any_coloring():
     r = exhaustive_ar(8, 4)
     for seed in range(10):
@@ -96,7 +110,7 @@ def test_walk_node_invariants(k):
     # at every node of the full tree: count is the rainbow quads already closed,
     # and alive the open quads whose colored elements still show distinct colors
     for n in range(1, 10):
-        quads = [tuple(row) for q in enumerate_quads(n, arrays=True) for row in (q - 1).tolist()]
+        quads = [tuple(row) for q in enumerate_quads(n) for row in (q - 1).tolist()]
         nodes = 0
 
         def enter(pos, count, alive, sizes, cols):
