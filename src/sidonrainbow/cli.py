@@ -27,6 +27,7 @@ from .counting import (
 )
 from .enumeration import (
     _check_scan,
+    _check_sum_range,
     _check_sums,
     count_quads_by_sums,
     enumerate_quads,
@@ -99,11 +100,12 @@ def _cmd_total(args) -> int:
         ns = range(lo, hi + 1)
         prefix = True
     else:
-        ns = [args.n]
+        ns = range(args.n, args.n + 1)
         prefix = False
     enumerated = [n for n in ns if n <= 60 or args.brute]
     # the limits for the whole command, checked before any line is printed
     _check_sums(ns[-1])
+    _check_sum_range(ns)
     _check_scan(sum(map(total_quads_formula, enumerated)), f"enumerating n={args.range or args.n}")
     status = EXIT_OK
     for n in ns:

@@ -132,6 +132,19 @@ def test_total_range_checks_one_ceiling(capsys, monkeypatch):
     assert out.splitlines()[-1] == f"n=1000 {total_quads_formula(1000)} {total_quads_formula(1000)} OK"
 
 
+def test_total_range_checks_the_sum_ceiling(capsys, monkeypatch):
+    # a single n up to the int64 limit fits the ceiling; 4..3163 is the widest range from 4
+    limit = enumeration.SUMS_MAX_N
+    enumeration._check_sum_range(range(limit, limit + 1))
+    enumeration._check_sum_range(range(4, 3164))
+    monkeypatch.setattr(cli, "count_quads_by_sums", lambda n: pytest.fail("sum buckets counted"))
+    for hi in (3164, 200000):
+        sums = sum(2 * n - 3 for n in range(4, hi + 1))  # pair sums l = 3..2n-1 per n
+        rc, out, err = run(capsys, "total", "--range", f"4..{hi}")
+        assert rc == 1 and out == ""
+        assert f"{sums} pair sums" in err and str(enumeration.SUMS_CEILING) in err
+
+
 # each fails one check: descending order, balance, range [1, 9]
 @pytest.mark.parametrize("bad", [(6, 4, 5, 3), (7, 5, 4, 3), (10, 6, 5, 1), (5, 3, 2, 0)])
 def test_total_fails_on_a_bad_enumerated_quad(capsys, monkeypatch, bad):

@@ -4,6 +4,7 @@ import random
 import tracemalloc
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -152,6 +153,43 @@ def test_blocked_histograms_match_naive(monkeypatch, block):
         assert count_rainbow_fast(c) == count_rainbow_naive(c).rainbow
         cyc = random_coloring(n, k, seed, Domain.CYCLIC)
         assert count_rainbow_cyclic_fast(cyc) == count_rainbow_cyclic_naive(cyc)
+
+
+@given(st.integers(1, 300).flatmap(lambda n: st.tuples(st.just(n), st.sets(st.integers(1, n)))))
+# dense intervals, where Q and D reach |x| = m, at every change of slot width
+@example((1, set(range(1, 2))))
+@example((9, set(range(1, 10))))
+@example((10, set(range(1, 11))))
+@example((99, set(range(1, 100))))
+@example((100, set(range(1, 101))))
+@example((999, set(range(1, 1000))))
+@example((1000, set(range(1, 1001))))
+@settings(max_examples=100, deadline=None)
+def test_transform_histograms_match_pair_histograms(nx):
+    n, members = nx
+    x = np.array(sorted(members), dtype=np.int64)
+    for got, want in zip(counting._transform_histograms(x, n), counting._pair_histograms(x, n)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_transform_engine_matches_naive(monkeypatch):
+    # no class of these sizes crosses over; send every class through the transform
+    monkeypatch.setattr(counting, "_CROSSOVER", 0)
+    monkeypatch.setattr(counting, "_pair_histograms", lambda x, n: pytest.fail("pair histograms used"))
+    for n, k, seed in ((60, 4, 1), (57, 5, 2), (40, 9, 3), (36, 36, 4)):
+        c = random_coloring(n, k, seed)
+        assert count_rainbow_fast(c) == count_rainbow_naive(c).rainbow
+        cyc = random_coloring(n, k, seed, Domain.CYCLIC)
+        assert count_rainbow_cyclic_fast(cyc) == count_rainbow_cyclic_naive(cyc)
+
+
+def test_transform_histograms_check_slot_overflow():
+    # x = [1..10]: D(0) = Q(11) = 10 needs two digits; one-digit slots carry
+    x = np.arange(1, 11, dtype=np.int64)
+    with pytest.raises(OverflowError, match="1 digits overflowed for a class of 10"):
+        counting._kronecker_histograms(x, 10, 1)
+    q, d = counting._kronecker_histograms(x, 10, 2)
+    assert q.max() == d.max() == 10
 
 
 def test_counters_reject_wrong_domain():

@@ -1,6 +1,7 @@
 """Exact enumeration and counting of the 4-set families."""
 import inspect
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,6 +87,17 @@ def test_three_counting_routes_agree():
 def test_sums_route_large():
     for n in (100, 999, 2048):
         assert count_quads_by_sums(n) == total_quads_formula(n)
+
+
+def test_sums_route_takes_constant_memory():
+    tracemalloc.start()
+    try:
+        total = count_quads_by_sums(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert total == total_quads_formula(10**6)
+    assert peak < 4 * 2**20  # one block of pair sums; 61 MiB as one array
 
 
 def test_sums_route_checks_int64_limit(monkeypatch):
