@@ -41,9 +41,12 @@ class Coloring:
             raise ValueError(f"need n >= 1 and k >= 1, got n={self.n}, k={self.k}")
         if len(self.colors) != self.n:
             raise ValueError(f"length mismatch: expected {self.n} colors, got {len(self.colors)}")
-        for idx, c in enumerate(self.colors):
-            if not isinstance(c, int) or isinstance(c, bool) or not 1 <= c <= self.k:
-                raise ValueError(f"color out of range at index {idx}")
+        colors = self.colors
+        # checked in C first; the loop, which names the index, only on failure
+        if not (set(map(type, colors)) <= {int} and 1 <= min(colors) and max(colors) <= self.k):
+            for idx, c in enumerate(colors):
+                if not isinstance(c, int) or isinstance(c, bool) or not 1 <= c <= self.k:
+                    raise ValueError(f"color out of range at index {idx}")
 
     def color_of(self, x: int) -> int:
         """Color of element x. Cyclic domain reduces x mod n into {1..n} first."""

@@ -8,10 +8,12 @@ Three independent interval-domain counters are kept deliberately separate:
   count_rainbow_fast    inclusion-exclusion over ordered color 4-tuples,
                         from a pair-sum and a pair-difference histogram per
                         color class; each class picks one of two exact
-                        engines by its size: pairs counted in fixed-size
-                        blocks (O(|X|^2) time) for small classes, an integer
-                        product in decimal (O(n log n)) for large ones, both
-                        in O(n) memory;
+                        engines by its size: pairs counted in blocks of
+                        about sqrt(8n) rows, about |X|^2 / 2 of them
+                        (O(|X|^2) time), for small classes, two exact
+                        squarings of decimal integers (O(n log n)) for
+                        large ones, both in O(n) memory (about 60 bytes per
+                        n for a transform class);
   rainbow_via_energy    for k = 4, three 4-fold additive energies with the
                         second side negated.
 
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 
 import numpy as np
 
@@ -126,17 +128,23 @@ _MAX_N = 2_097_151
 
 def _pair_histograms(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Counts of a + b (at index a + b) and of a - b (at a - b + n) over the
-    ordered pairs of the sorted class x, forming only the pairs a <= b."""
+    ordered pairs of the sorted class x, forming only the pairs a <= b.
+
+    A block of r rows forms r^2 pairs with itself and r * (rows after it)
+    with the rest, about |x|^2 / 2 + |x| * r / 2 in all, and pays four
+    bincounts of 2n + 1 slots; r = sqrt(8n) balances the two.
+    """
     width = 2 * n + 1
     sums, diffs = np.zeros(width, dtype=np.int64), np.zeros(width, dtype=np.int64)
-    rows = max(1, _BLOCK // max(len(x), 1))
+    rows = max(1, min(_BLOCK // max(len(x), 1), isqrt(8 * n)))
     for a in range(0, len(x), rows):
         head, tail = x[a : a + rows], x[a + rows :]
         sums += np.bincount(np.add.outer(head, head).ravel(), minlength=width)
         sums += 2 * np.bincount(np.add.outer(head, tail).ravel(), minlength=width)
         diffs += np.bincount(np.subtract.outer(head + n, head).ravel(), minlength=width)
         below = np.bincount(np.subtract.outer(head + n, tail).ravel(), minlength=width)
-        diffs += below + below[::-1]
+        diffs += below
+        diffs += below[::-1]
     return sums, diffs
 
 
@@ -144,47 +152,74 @@ def _pair_histograms(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded])
 
 
+def _square_slots(digits: np.ndarray, slots: int) -> np.ndarray:
+    """The square of the decimal integer whose slots, most significant first,
+    are the rows of the ASCII digit matrix digits, read back as `slots`
+    int64 slot values.
+
+    libmpdec squares by an exact number-theoretic transform, one forward
+    transform fewer than a product of two operands. The digits are read in
+    place: Horner over the W digit columns, then one subtraction of the
+    ASCII offset 48 * (10^W - 1) / 9; a top slot with leading zeros that
+    str() left out is read by itself.
+    """
+    width = digits.shape[1]
+    a = Decimal(str(digits, "ascii"))
+    # a carry past the top slot is cut off here, so the callers' sum checks
+    # see it too; a square that fits is not copied
+    text = str(_EXACT.multiply(a, a)).encode()[-slots * width :]
+    del a
+    full, top = divmod(len(text), width)
+    v = np.zeros(slots, dtype=np.int64)
+    body = v[:full]
+    for col in np.frombuffer(text, dtype=np.uint8, offset=top).reshape(full, width)[::-1].T:
+        body *= 10
+        body += col
+    body -= ord("0") * (10**width - 1) // 9
+    if top:
+        v[full] = int(text[:top])
+    return v
+
+
 def _kronecker_histograms(x: np.ndarray, n: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     """_pair_histograms by Kronecker substitution: the class indicator as a
     decimal integer a = sum_{j in x} 10^(width * j), and its reverse r with j
-    at n - j. Slot l of a * a is Q(l) and slot d + n of a * r is D(d), while
-    no slot reaches 10^width; libmpdec multiplies such operands by an exact
-    number-theoretic transform.
+    at n - j. Slot l of a^2 is Q(l), and slot l of (a + r)^2 is
+    Q(l) + Q(2n - l) + 2 D(l - n), since r^2 is a^2 reversed and slot d + n
+    of a * r is D(d); so two squarings give both histograms, while no slot
+    reaches 10^width.
 
     A slot that overflowed would carry into the next one and lower the total,
-    so both histograms must sum to |x|^2, or OverflowError is raised.
+    so Q must sum to |x|^2 and (a + r)^2 to 4|x|^2, or OverflowError is raised.
     """
-    slots, size = 2 * n + 1, (2 * n + 1) * width
+    slots = 2 * n + 1
     digits = np.full((n + 1, width), ord("0"), dtype=np.uint8)
-    digits[x, -1] = ord("1")
-    a = Decimal(digits[::-1].tobytes().decode())  # most significant slot first
-    r = Decimal(digits.tobytes().decode())
-    out = []
-    for product in (_EXACT.multiply(a, a), _EXACT.multiply(a, r)):
-        # a carry past the top slot is cut off here, so the check sees it too
-        text = str(product).encode().rjust(size, b"0")[-size:]
-        cols = np.frombuffer(text, dtype=np.uint8).reshape(slots, width)[::-1] - ord("0")
-        v = np.zeros(slots, dtype=np.int64)
-        for col in cols.T:
-            v *= 10
-            v += col
-        if int(v.sum()) != len(x) ** 2:
-            raise OverflowError(f"histogram slots of {width} digits overflowed for a class of {len(x)}")
-        out.append(v)
-    return out[0], out[1]
+    digits[n - x, -1] = ord("1")  # a, slot n first
+    q = _square_slots(digits, slots)
+    digits[x, -1] += 1  # a + r, the same in either slot order
+    d = _square_slots(digits, slots)
+    m = len(x)
+    if int(q.sum()) != m**2 or int(d.sum()) != 4 * m**2:
+        raise OverflowError(f"histogram slots of {width} digits overflowed for a class of {m}")
+    d -= q
+    d -= q[::-1]
+    d >>= 1
+    return q, d
 
 
 def _transform_histograms(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The same (Q, D) as _pair_histograms(x, n), in O(n log n) time: every
-    Q(l) and D(d) is at most |x|, so slots as wide as |x| has digits hold them."""
-    return _kronecker_histograms(x, n, len(str(len(x))))
+    slot of (a + r)^2 is at most 4|x|, so slots as wide as 4|x| has digits
+    hold it."""
+    return _kronecker_histograms(x, n, len(str(4 * len(x))))
 
 
 # A class X takes the transform engine when |X|^2 > _CROSSOVER * n * W, for W
 # the digits of |X|: the pair histograms cost about |X|^2 and the transform
 # about n * W. Timed per class on a 2-vCPU x86 host (numpy 2.4, libmpdec
-# 2.5.1), the two engines broke even at |X|^2 / (n * W) of about 42, 32, 28,
-# 55, 60 and 50 for n = 1000, 3000, 8000, 10^4, 2 * 10^4 and 5 * 10^4.
+# 2.5.1), the two engines broke even at |X|^2 / (n * W) of about 100, 60, 30,
+# 60, 50, 45 and 50 for n = 1000, 3000, 8000, 10^4, 2 * 10^4, 5 * 10^4 and
+# 10^5; the transform's cost steps with libmpdec's transform lengths.
 _CROSSOVER = 48
 
 
@@ -207,19 +242,31 @@ def _rainbow_from_histograms(c: Coloring, cyclic: bool) -> int:
         return 0
     if n > _MAX_N:
         raise ValueError(f"n={n} is too large for int64 histogram sums: need n <= {_MAX_N}")
-    l = np.arange(2 * n + 1)
-    s = np.full(n, n) if cyclic else np.minimum(l - 1, 2 * n + 1 - l).clip(0)
-    d = np.zeros(2 * n + 1, dtype=np.int64)
+    width = 2 * n + 1
+    l = np.arange(width)
+    s = np.full(n, n) if cyclic else np.minimum(l - 1, width - l).clip(0)
+    del l
+    d = np.zeros(width, dtype=np.int64)
+    r = np.empty(len(s), dtype=np.int64)
+    below = None if cyclic else np.empty(width, dtype=np.int32)
     r_sq = q_sq = 0
     for cls in c.classes().values():
         x = np.array(cls, dtype=np.int64)
         transform = len(x) ** 2 > _CROSSOVER * n * len(str(len(x)))
         q, diffs = (_transform_histograms if transform else _pair_histograms)(x, n)
         d += diffs
-        q = _fold(q, n) if cyclic else q
-        w = len(x) if cyclic else np.searchsorted(x, l) - np.searchsorted(x, l - n)
+        if cyclic:
+            q = _fold(q, n)
+            np.subtract(len(x), q, out=r)
+        else:
+            # below[l] = #{x < l}, so W_i(l) = below[l] - below[l - n]
+            below.fill(0)
+            below[x + 1] = 1
+            np.cumsum(below, out=below)
+            np.subtract(below, q, out=r)
+            r[n:] -= below[: n + 1]
         s -= q
-        r_sq += int((w - q) @ (w - q))
+        r_sq += int(r @ r)
         q_sq += int(q @ q)
     d = _fold(d, n) if cyclic else d
     return (int(s @ s) - 4 * r_sq + 2 * (int(d @ d) - q_sq)) // 8

@@ -43,6 +43,18 @@ def test_coloring_rejects_bad_shapes():
             Coloring(Domain.INTERVAL, n, k, (1,))
 
 
+@pytest.mark.parametrize("bad", [True, 1.0, 0, 5])
+def test_coloring_names_a_bad_last_color(bad):
+    # the failure path reports the same index as a per-element check would
+    colors = [1, 2, 3, 4] * 2500
+    colors[-1] = bad
+    with pytest.raises(ValueError, match="^color out of range at index 9999$"):
+        Coloring(Domain.INTERVAL, 10**4, 4, tuple(colors))
+    text = json.dumps({"domain": "interval", "n": 10**4, "k": 4, "colors": colors})
+    with pytest.raises(ValueError, match="^color out of range at index 9999$"):
+        parse_coloring(text)
+
+
 def test_interval_lookup_bounds():
     c = mod_coloring(6, 2)
     with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 import itertools
 import random
 import tracemalloc
+from math import isqrt
 from types import SimpleNamespace
 
 import numpy as np
@@ -155,15 +156,45 @@ def test_blocked_histograms_match_naive(monkeypatch, block):
         assert count_rainbow_cyclic_fast(cyc) == count_rainbow_cyclic_naive(cyc)
 
 
+def test_pair_histograms_in_row_blocks_match_outer_reference():
+    # sqrt(8n) = 126 rows a block splits this class into eight blocks
+    n = 2000
+    x = np.sort(np.random.default_rng(0).choice(np.arange(1, n + 1), 900, replace=False))
+    assert len(x) > 2 * isqrt(8 * n)
+    sums = np.bincount(np.add.outer(x, x).ravel(), minlength=2 * n + 1)
+    diffs = np.bincount((np.subtract.outer(x, x) + n).ravel(), minlength=2 * n + 1)
+    got = counting._pair_histograms(x, n)
+    assert np.array_equal(got[0], sums) and np.array_equal(got[1], diffs)
+
+
+def test_pair_histograms_form_half_the_square():
+    # all |x|^2 = 10^6 ordered pairs in one block would take 8 MiB
+    n = 8000
+    x = np.sort(np.random.default_rng(1).choice(np.arange(1, n + 1), 1000, replace=False))
+    tracemalloc.start()
+    try:
+        counting._pair_histograms(x, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
+
+
 @given(st.integers(1, 300).flatmap(lambda n: st.tuples(st.just(n), st.sets(st.integers(1, n)))))
-# dense intervals, where Q and D reach |x| = m, at every change of slot width
+# dense intervals [1..m], where a + r has digits 2 and its square's slots
+# reach 4m, on each side of every change of slot width (4m = 10^W)
 @example((1, set(range(1, 2))))
-@example((9, set(range(1, 10))))
-@example((10, set(range(1, 11))))
-@example((99, set(range(1, 100))))
-@example((100, set(range(1, 101))))
-@example((999, set(range(1, 1000))))
-@example((1000, set(range(1, 1001))))
+@example((2, set(range(1, 3))))
+@example((3, set(range(1, 4))))
+@example((24, set(range(1, 25))))
+@example((25, set(range(1, 26))))
+@example((249, set(range(1, 250))))
+@example((250, set(range(1, 251))))
+@example((2499, set(range(1, 2500))))
+@example((2500, set(range(1, 2501))))
+# n/2, its own mirror image: a + r has digit 2 there
+@example((300, {150}))
+@example((10, {1, 5, 9}))
 @settings(max_examples=100, deadline=None)
 def test_transform_histograms_match_pair_histograms(nx):
     n, members = nx
@@ -190,6 +221,12 @@ def test_transform_histograms_check_slot_overflow():
         counting._kronecker_histograms(x, 10, 1)
     q, d = counting._kronecker_histograms(x, 10, 2)
     assert q.max() == d.max() == 10
+    # x = [1..3]: Q fits one digit, but slot 3 of (a + r)^2 is 1 + 1 + 2 * 4 = 10
+    x = np.arange(1, 4, dtype=np.int64)
+    with pytest.raises(OverflowError, match="1 digits overflowed for a class of 3"):
+        counting._kronecker_histograms(x, 3, 1)
+    q, d = counting._kronecker_histograms(x, 3, 2)
+    assert q.max() == d.max() == 3
 
 
 def test_counters_reject_wrong_domain():
