@@ -132,7 +132,8 @@ def _pair_histograms(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
     A block of r rows forms r^2 pairs with itself and r * (rows after it)
     with the rest, about |x|^2 / 2 + |x| * r / 2 in all, and pays four
-    bincounts of 2n + 1 slots; r = sqrt(8n) balances the two.
+    O(n) bincounts, each costing about n pair entries: r = sqrt(8n) balances
+    |x| * r / 2 against 4n * |x| / r (timed flat from sqrt(4n) to sqrt(8n)).
     """
     width = 2 * n + 1
     sums, diffs = np.zeros(width, dtype=np.int64), np.zeros(width, dtype=np.int64)
