@@ -11,9 +11,13 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import gc
+import itertools
 import random
 import sys
 from fractions import Fraction
+
+import numpy as np
 
 from .bounds import bounds_report, lb_coefficient, report_to_json, report_to_text, ub_general_coefficient
 from .core import Domain, mod_coloring, parse_coloring_lines, random_coloring
@@ -35,6 +39,7 @@ from .enumeration import (
 )
 from .repfn import (
     IntSet,
+    _interval,
     additive_energy,
     check_energy_dominance,
     check_lev,
@@ -78,30 +83,45 @@ def _parse_range(text: str) -> tuple[int, int]:
     return a, b
 
 
+# rows of consecutive pair-sum buckets that total checks at a time: 16 KiB of int32
+_CHECK_ROWS = 1 << 10
+
+
+def _check_rows(q: np.ndarray, n: int) -> None:
+    """Raise ValueError naming q's first column that is not a canonical Sidon 4-set of [n]."""
+    x1, x2, x3, x4 = q
+    ok = (1 <= x4) & (x4 < x3) & (x3 < x2) & (x2 < x1) & (x1 <= n) & (x1 + x4 == x2 + x3)
+    if not ok.all():
+        bad = tuple(q[:, ok.argmin()].tolist())
+        raise ValueError(f"enumerating n={n} gave {bad}, not a canonical Sidon 4-set of [{n}]")
+
+
 def _count_enumerated(n: int) -> int:
     """total's third route: the quads enumerate_quads yields, counted after the
     checks SidonQuad makes (x1 > x2 > x3 > x4, x1 + x4 = x2 + x3) and a range
-    check (1 <= x4, x1 <= n), vectorised per pair sum. Raises ValueError on
-    the first quad that fails them."""
-    count = 0
+    check (1 <= x4, x1 <= n), on consecutive pair-sum buckets packed into blocks
+    of at most _CHECK_ROWS rows (a larger bucket alone); a ValueError names the
+    first quad that fails, in enumeration order."""
+    block = np.empty((4, _CHECK_ROWS), dtype=np.int32)
+    count = used = 0
     for q in enumerate_quads(n):
-        x1, x2, x3, x4 = q.T
-        ok = (1 <= x4) & (x4 < x3) & (x3 < x2) & (x2 < x1) & (x1 <= n) & (x1 + x4 == x2 + x3)
-        if not ok.all():
-            bad = tuple(q[ok.argmin()].tolist())
-            raise ValueError(f"enumerating n={n} gave {bad}, not a canonical Sidon 4-set of [{n}]")
-        count += len(q)
+        m = len(q)
+        if used + m > _CHECK_ROWS:
+            _check_rows(block[:, :used], n)
+            used = 0
+        if m > _CHECK_ROWS:
+            _check_rows(q.T, n)
+        else:
+            block[:, used : used + m] = q.T
+            used += m
+        count += m
+    _check_rows(block[:, :used], n)
     return count
 
 
 def _cmd_total(args) -> int:
-    if args.range:
-        lo, hi = _parse_range(args.range)
-        ns = range(lo, hi + 1)
-        prefix = True
-    else:
-        ns = range(args.n, args.n + 1)
-        prefix = False
+    lo, hi = _parse_range(args.range) if args.range else (args.n, args.n)
+    ns = range(lo, hi + 1)
     enumerated = [n for n in ns if n <= 60 or args.brute]
     # the limits for the whole command, checked before any line is printed
     _check_sums(ns[-1])
@@ -109,15 +129,13 @@ def _cmd_total(args) -> int:
     _check_scan(sum(map(total_quads_formula, enumerated)), f"enumerating n={args.range or args.n}")
     status = EXIT_OK
     for n in ns:
-        f = total_quads_formula(n)
-        s = count_quads_by_sums(n)
-        vals = [f, s]
+        vals = [total_quads_formula(n), count_quads_by_sums(n)]
         if n in enumerated:
             vals.append(_count_enumerated(n))
         ok = len(set(vals)) == 1
         if not ok:
             status = EXIT_MISMATCH
-        head = f"n={n} " if prefix else ""
+        head = f"n={n} " if args.range else ""
         print(head + " ".join(str(v) for v in vals) + (" OK" if ok else " MISMATCH"))
     return status
 
@@ -203,47 +221,32 @@ def _cmd_search(args) -> int:
 
 
 def _suite_closed_forms() -> list[tuple[str, bool]]:
-    checks = []
-    ok = True
+    # each profile r_{[-a,a]+[-b,b]}, 1 <= a <= b <= 30, is built once and compared
+    # whole; one with b <= 8 serves the product dominance as (a, b) and as (b, a)
+    two_ok = one_ok = True
+    pairs = {}
     for beta in range(1, 31):
         for alpha in range(1, beta + 1):
-            prof = rep_profile(IntSet(range(-alpha, alpha + 1)), IntSet(range(-beta, beta + 1)))
-            for m in range(-(alpha + beta) - 2, alpha + beta + 3):
-                if closed_rep_two_intervals(alpha, beta, m) != prof[m]:
-                    ok = False
-    checks.append(("rep two intervals", ok))
-    ok = True
-    for alpha in range(1, 31):
-        prof = rep_profile(IntSet(range(-alpha, alpha + 1)), IntSet(range(-alpha, alpha + 1)))
-        for m in range(-2 * alpha - 2, 2 * alpha + 3):
-            if closed_rep_one_interval(alpha, m) != prof[m]:
-                ok = False
-    checks.append(("rep one interval", ok))
-    ok = True
-    for alpha in range(1, 21):
-        J = IntSet(range(-alpha, alpha + 1))
-        if closed_energy4_interval(alpha) != additive_energy([J, J, J, J]):
-            ok = False
-    checks.append(("interval energy", ok))
-    sum_ok = True
-    product_ok = True
-    for a1 in range(1, 9):
-        for a2 in range(1, 9):
-            for a3 in range(1, 9):
-                for a4 in range(1, 9):
-                    s = a1 + a2 + a3 + a4
-                    if s % 4:
-                        continue
-                    # the pointwise bound holds inside both pair supports
-                    reach = min(a1 + a2, a3 + a4, s // 2)
-                    for m in range(-reach, reach + 1):
-                        if not check_sum_dominance(a1, a2, a3, a4, m):
-                            sum_ok = False
-                    if not check_energy_dominance(a1, a2, a3, a4):
-                        product_ok = False
-    checks.append(("sum dominance", sum_ok))
-    checks.append(("product dominance", product_ok))
-    return checks
+            prof = rep_profile(_interval(alpha), _interval(beta))
+            w = alpha + beta + 2
+            ms, values = np.arange(-w, w + 1), prof.window(-w, w)
+            two_ok &= np.array_equal(closed_rep_two_intervals(alpha, beta, ms), values)
+            if alpha == beta:
+                one_ok &= np.array_equal(closed_rep_one_interval(alpha, ms), values)
+            if beta <= 8:
+                pairs[alpha, beta] = pairs[beta, alpha] = prof
+    e4_ok = all(closed_energy4_interval(a) == additive_energy([_interval(a)] * 4) for a in range(1, 21))
+    sum_ok = product_ok = True
+    for a1, a2, a3, a4 in itertools.product(range(1, 9), repeat=4):
+        s = a1 + a2 + a3 + a4
+        if s % 4:
+            continue
+        # the pointwise bound holds inside both pair supports
+        reach = min(a1 + a2, a3 + a4, s // 2)
+        sum_ok &= check_sum_dominance(a1, a2, a3, a4, np.arange(-reach, reach + 1))
+        product_ok &= check_energy_dominance(a1, a2, a3, a4, pairs)
+    return [("rep two intervals", two_ok), ("rep one interval", one_ok),
+            ("interval energy", e4_ok), ("sum dominance", sum_ok), ("product dominance", product_ok)]
 
 
 def _suite_lev(trials: int, seed: int) -> list[tuple[str, bool]]:
@@ -251,12 +254,7 @@ def _suite_lev(trials: int, seed: int) -> list[tuple[str, bool]]:
     ok = True
     for _ in range(trials):
         t = rng.choice((2, 3, 4))
-        sets = []
-        for _ in range(t):
-            size = rng.randint(1, 8)
-            sets.append(IntSet(rng.sample(range(-10, 11), size)))
-        if not check_lev(sets):
-            ok = False
+        ok &= check_lev([IntSet(rng.sample(range(-10, 11), rng.randint(1, 8))) for _ in range(t)])
     return [("compression inequality", ok)]
 
 
@@ -264,16 +262,15 @@ def _suite_floor(trials: int, seed: int) -> list[tuple[str, bool]]:
     rng = random.Random(seed)
     ok = True
     for _ in range(trials):
-        n = rng.randint(10, 60)
-        k = rng.randint(2, 6)
-        c = random_coloring(n, k, rng.randint(0, 10**9))
+        c = random_coloring(rng.randint(10, 60), rng.randint(2, 6), rng.randint(0, 10**9))
         bd = count_rainbow_naive(c)
-        if Fraction(bd.total - bd.rainbow) < non_rainbow_lower_bound(c):
-            ok = False
+        ok &= Fraction(bd.total - bd.rainbow) >= non_rainbow_lower_bound(c)
     return [("non-rainbow floor", ok)]
 
 
 def _cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     checks: list[tuple[str, bool]] = []
     if args.suite in ("lemmas", "all"):
         checks += _suite_closed_forms()
@@ -281,12 +278,9 @@ def _cmd_verify(args) -> int:
         checks += _suite_lev(args.trials, args.seed)
     if args.suite == "all":
         checks += _suite_floor(max(10, args.trials // 20), args.seed)
-    status = EXIT_OK
     for name, ok in checks:
         print(f"{name} {'PASS' if ok else 'FAIL'}")
-        if not ok:
-            status = EXIT_MISMATCH
-    return status
+    return EXIT_OK if all(ok for _, ok in checks) else EXIT_MISMATCH
 
 
 def _cmd_sweep(args) -> int:
@@ -393,7 +387,10 @@ def _shared_parser() -> argparse.ArgumentParser:
     # A parser is a web of reference cycles (each action points back at its
     # container), so one built per main call would be left for the cyclic
     # collector; parsing does not change it, so in-process callers share one.
-    return build_parser()
+    # Building it leaves argparse's help formatters in cycles too: free them now.
+    parser = build_parser()
+    gc.collect(0)
+    return parser
 
 
 def main(argv=None) -> int:

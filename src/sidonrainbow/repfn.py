@@ -1,9 +1,11 @@
 """Representation functions r_{A+B}, interval compression, and t-fold additive energy.
 
-All counts are exact integers. Profiles are built by direct pairwise
-accumulation; the energy fold convolves profiles with numpy's integer
-convolution, which performs the same exact accumulation in C (verified
-bit-identical against the pure-Python fold in tests).
+All counts are exact integers. A profile is a direct pairwise accumulation:
+np.bincount tallies the sums a + b of a block of rows of A against all of B,
+about _BLOCK pairs (at least one row) at a time. The energy fold convolves
+indicator arrays with numpy's integer convolution, a separate route checked
+against a pure-Python fold in tests. The closed forms and the pointwise
+dominance check take one m or an int64 array of m.
 """
 from __future__ import annotations
 
@@ -21,9 +23,8 @@ class IntSet:
 
     def __init__(self, values: Iterable[int]):
         vals = tuple(sorted(values))
-        for a, b in zip(vals, vals[1:]):
-            if a == b:
-                raise ValueError(f"duplicate element {a}")
+        if len(set(vals)) < len(vals):
+            raise ValueError(f"duplicate element {next(a for a, b in zip(vals, vals[1:]) if a == b)}")
         self.values: tuple[int, ...] = vals
 
     def __len__(self):
@@ -45,7 +46,7 @@ class IntSet:
         return f"IntSet({list(self.values)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RepProfile:
     """Exact counts m -> r(m) on the support window [lo, hi]; zero outside."""
 
@@ -58,9 +59,7 @@ class RepProfile:
             raise ValueError("counts length does not match [lo, hi]")
 
     def __getitem__(self, m: int) -> int:
-        if self.lo <= m <= self.hi:
-            return self.counts[m - self.lo]
-        return 0
+        return self.counts[m - self.lo] if self.lo <= m <= self.hi else 0
 
     def total(self) -> int:
         return sum(self.counts)
@@ -68,26 +67,44 @@ class RepProfile:
     def support(self) -> range:
         return range(self.lo, self.hi + 1)
 
+    def window(self, lo: int, hi: int) -> np.ndarray:
+        """r(m) for m = lo..hi as an int64 array, zero outside [self.lo, self.hi]."""
+        out = np.zeros(hi - lo + 1, dtype=np.int64)
+        a, b = max(lo, self.lo), min(hi, self.hi)
+        if a <= b:
+            out[a - lo : b - lo + 1] = self.counts[a - self.lo : b - self.lo + 1]
+        return out
+
+
+# pairs (a, b) that rep_profile tallies at a time: 4 KiB of intp sums, plus
+# about twice that in numpy's buffers for the broadcast operands
+_BLOCK = 1 << 9
+
 
 def rep_profile(A: IntSet, B: IntSet) -> RepProfile:
-    """r_{A+B}(m) = #{(a,b) in A x B : a+b = m} for every m, by direct accumulation."""
+    """r_{A+B}(m) = #{(a,b) in A x B : a+b = m} for every m, by blocked direct accumulation."""
     if not len(A) or not len(B):
         raise ValueError("rep_profile needs nonempty sets")
-    lo = A.values[0] + B.values[0]
-    hi = A.values[-1] + B.values[-1]
-    counts = [0] * (hi - lo + 1)
-    for a in A.values:
-        for b in B.values:
-            counts[a + b - lo] += 1
-    return RepProfile(lo, hi, tuple(counts))
+    lo, hi = A.values[0] + B.values[0], A.values[-1] + B.values[-1]
+    # offsets from the smallest elements, so a + b - lo is a small index
+    a = np.array([x - A.values[0] for x in A.values], dtype=np.intp)
+    b = np.array([y - B.values[0] for y in B.values], dtype=np.intp)
+    counts = np.zeros(hi - lo + 1, dtype=np.int64)
+    rows = max(1, _BLOCK // len(b))
+    for i in range(0, len(a), rows):
+        counts += np.bincount(np.add.outer(a[i : i + rows], b).ravel(), minlength=len(counts))
+    return RepProfile(lo, hi, tuple(counts.tolist()))
+
+
+def _interval(r: int) -> IntSet:
+    return IntSet(range(-r, r + 1))
 
 
 def interval_compress(size: int) -> IntSet:
     """The symmetric interval [-ceil(size/2), ceil(size/2)]; depends only on cardinality."""
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
-    half = (size + 1) // 2
-    return IntSet(range(-half, half + 1))
+    return _interval((size + 1) // 2)
 
 
 def negate_set(A: IntSet) -> IntSet:
@@ -98,8 +115,7 @@ def negate_set(A: IntSet) -> IntSet:
 def _indicator(A: IntSet) -> tuple[int, np.ndarray]:
     lo = A.values[0]
     arr = np.zeros(A.values[-1] - lo + 1, dtype=np.int64)
-    for a in A.values:
-        arr[a - lo] = 1
+    arr[[a - lo for a in A.values]] = 1
     return lo, arr
 
 
@@ -126,40 +142,24 @@ def additive_energy(sets: Sequence[IntSet]) -> int:
     return 0
 
 
-def _fold_energy_slow(sets: Sequence[IntSet]) -> int:
-    """Pure-Python reference fold; must be bit-identical to additive_energy."""
-    if any(len(s) == 0 for s in sets):
-        return 0
-    acc = {0: 1}
-    for s in sets:
-        nxt: dict[int, int] = {}
-        for m, cnt in acc.items():
-            for a in s.values:
-                key = m + a
-                nxt[key] = nxt.get(key, 0) + cnt
-        acc = nxt
-    return acc.get(0, 0)
-
-
-def closed_rep_two_intervals(alpha: int, beta: int, m: int) -> int:
+def closed_rep_two_intervals(alpha: int, beta: int, m):
     """r_{[-alpha,alpha]+[-beta,beta]}(m): a plateau of height 2*alpha+1 for
-    |m| <= beta-alpha, linear decay alpha+beta+1-|m| out to |m| = alpha+beta, then 0."""
+    |m| <= beta-alpha, linear decay alpha+beta+1-|m| out to |m| = alpha+beta, then 0.
+    An int m gives an int; an int64 array of m gives the int64 array of values."""
     if alpha < 1 or alpha > beta:
         raise ValueError(f"need 1 <= alpha <= beta, got alpha={alpha}, beta={beta}")
-    am = abs(m)
-    if am <= beta - alpha:
-        return 2 * alpha + 1
-    if am <= alpha + beta:
-        return alpha + beta + 1 - am
-    return 0
+    # the decay alpha+beta+1-|m| is at least 2*alpha+1 exactly on the plateau
+    r = np.minimum(np.maximum(alpha + beta + 1 - abs(m), 0), 2 * alpha + 1)
+    return r if isinstance(m, np.ndarray) else int(r)
 
 
-def closed_rep_one_interval(alpha: int, m: int) -> int:
-    """r_{J+J}(m) for J = [-alpha, alpha]: the triangle 2*alpha+1-|m|, clipped at 0."""
+def closed_rep_one_interval(alpha: int, m):
+    """r_{J+J}(m) for J = [-alpha, alpha]: the triangle 2*alpha+1-|m|, clipped at 0.
+    An int m gives an int; an int64 array of m gives the int64 array of values."""
     if alpha < 1:
         raise ValueError(f"need alpha >= 1, got {alpha}")
-    am = abs(m)
-    return 2 * alpha + 1 - am if am <= 2 * alpha else 0
+    r = np.maximum(2 * alpha + 1 - abs(m), 0)
+    return r if isinstance(m, np.ndarray) else int(r)
 
 
 def closed_energy4_interval(alpha: int) -> int:
@@ -174,9 +174,10 @@ def closed_energy4_interval(alpha: int) -> int:
     return cubic // 3 + 8 * alpha**2 + 1
 
 
-def check_sum_dominance(a1: int, a2: int, a3: int, a4: int, m: int) -> bool:
+def check_sum_dominance(a1: int, a2: int, a3: int, a4: int, m) -> bool:
     """With A_i = [-a_i, a_i] and J = [-s/4, s/4] for s = a1+a2+a3+a4 (4 | s),
-    test r_{A1+A2}(m) + r_{A3+A4}(m) <= 2 r_{J+J}(m).
+    test r_{A1+A2}(m) + r_{A3+A4}(m) <= 2 r_{J+J}(m) at m, an int or an int64
+    array of m (True when it holds at every one; ValueError if any |m| > s/2).
 
     Truthful evaluation: the inequality provably holds whenever |m| lies within
     both pair supports (|m| <= a1+a2 and |m| <= a3+a4) but can fail once one
@@ -185,35 +186,37 @@ def check_sum_dominance(a1: int, a2: int, a3: int, a4: int, m: int) -> bool:
     inside both supports; check_energy_dominance covers the aggregate form that
     needs no such restriction.
     """
-    for a in (a1, a2, a3, a4):
-        if a < 1:
-            raise ValueError("interval radii must be >= 1")
+    if min(a1, a2, a3, a4) < 1:
+        raise ValueError("interval radii must be >= 1")
     s = a1 + a2 + a3 + a4
     if s % 4 != 0:
         raise ValueError(f"sum of radii must be divisible by 4, got {s}")
-    if abs(m) > s // 2:
-        raise ValueError(f"|m| = {abs(m)} exceeds {s // 2}")
-    lhs = closed_rep_two_intervals(min(a1, a2), max(a1, a2), m) + closed_rep_two_intervals(
-        min(a3, a4), max(a3, a4), m
-    )
-    rhs = 2 * closed_rep_one_interval(s // 4, m)
-    return lhs <= rhs
+    m = np.asarray(m, dtype=np.int64)
+    worst = int(np.abs(m).max(initial=0))
+    if worst > s // 2:
+        raise ValueError(f"|m| = {worst} exceeds {s // 2}")
+    lhs = closed_rep_two_intervals(min(a1, a2), max(a1, a2), m)
+    lhs = lhs + closed_rep_two_intervals(min(a3, a4), max(a3, a4), m)
+    return bool((lhs <= 2 * closed_rep_one_interval(s // 4, m)).all())
 
 
-def check_energy_dominance(a1: int, a2: int, a3: int, a4: int) -> bool:
+def check_energy_dominance(a1: int, a2: int, a3: int, a4: int, profiles=None) -> bool:
     """Aggregate form: sum_m r_{A1+A2}(m) * r_{A3+A4}(m) <= sum_{|m| <= s/2} r_{J+J}(m)^2.
 
     Holds for every radius tuple with 4 | s: where both factors are positive the
-    pointwise bound applies, and elsewhere the product is zero.
+    pointwise bound applies, and elsewhere the product is zero. `profiles`, if
+    given, maps (a, b) to rep_profile([-a, a], [-b, b]) for both radius pairs,
+    so a caller checking many tuples builds each profile once.
     """
     s = a1 + a2 + a3 + a4
     if s % 4 != 0:
         raise ValueError(f"sum of radii must be divisible by 4, got {s}")
-    p12 = rep_profile(IntSet(range(-a1, a1 + 1)), IntSet(range(-a2, a2 + 1)))
-    p34 = rep_profile(IntSet(range(-a3, a3 + 1)), IntSet(range(-a4, a4 + 1)))
-    lhs = sum(p12[m] * p34[m] for m in p12.support())
+    if profiles is None:
+        profiles = {(a, b): rep_profile(_interval(a), _interval(b)) for a, b in ((a1, a2), (a3, a4))}
     half = s // 2
-    rhs = sum(closed_rep_one_interval(s // 4, m) ** 2 for m in range(-half, half + 1))
+    # both profiles vanish beyond |m| = min(a1 + a2, a3 + a4) <= s/2
+    lhs = int(np.dot(profiles[a1, a2].window(-half, half), profiles[a3, a4].window(-half, half)))
+    rhs = int((closed_rep_one_interval(s // 4, np.arange(-half, half + 1)) ** 2).sum())
     return lhs <= rhs
 
 

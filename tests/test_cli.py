@@ -3,13 +3,15 @@ import csv
 import json
 import subprocess
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from sidonrainbow import cli, enumeration
+from sidonrainbow import cli, enumeration, repfn
 from sidonrainbow.cli import main
-from sidonrainbow.core import Domain, mod_coloring, serialize_coloring
-from sidonrainbow.enumeration import SCAN_CEILING, total_quads_formula
+from sidonrainbow.core import Domain, mod_coloring, random_coloring, serialize_coloring
+from sidonrainbow.enumeration import SCAN_CEILING, enumerate_quads, total_quads_formula
 
 
 def run(capsys, *argv):
@@ -164,6 +166,43 @@ def test_total_fails_on_a_bad_enumerated_quad(capsys, monkeypatch, bad):
     assert rc == 0 and out == "22 22 22 OK\n"
 
 
+def corrupt(monkeypatch, n, rows):
+    """Make cli's enumerate_quads(n) yield a wrong row (x1, x2, x3, x4) at each
+    (pair sum, row index) key of `rows`."""
+    def bad_rows(m):
+        for q in enumerate_quads(m):
+            l = int(q[0, 0] + q[0, 3])
+            for (sum_, i), row in rows.items():
+                if m == n and sum_ == l:
+                    q = q.copy()
+                    q[i] = row
+            yield q
+
+    monkeypatch.setattr(cli, "enumerate_quads", bad_rows)
+
+
+def test_total_names_a_bad_row_inside_a_packed_block(capsys, monkeypatch):
+    # at n = 20 every bucket fits one block: the bad rows sit in the 17th and
+    # 22nd buckets, neither at its bucket's first row, and the first is named
+    assert total_quads_formula(20) <= cli._CHECK_ROWS
+    corrupt(monkeypatch, 20, {(21, 3): (9, 8, 7, 5), (26, 2): (20, 1, 4, 5)})
+    rc, out, err = run(capsys, "total", "--n", "20")
+    assert rc == 1 and out == ""
+    assert "(9, 8, 7, 5)" in err and "(20, 1, 4, 5)" not in err
+
+
+def test_total_names_a_bad_row_in_a_bucket_larger_than_a_block(capsys, monkeypatch):
+    # at n = 100 the bucket of sum 100 has C(49, 2) = 1176 rows, more than a block
+    assert 49 * 48 // 2 > cli._CHECK_ROWS
+    corrupt(monkeypatch, 100, {(100, 1100): (60, 41, 30, 30), (101, 5): (1, 2, 3, 4)})
+    rc, _, err = run(capsys, "total", "--n", "100", "--brute")
+    assert rc == 1 and "(60, 41, 30, 30)" in err and "(1, 2, 3, 4)" not in err
+    # and in the block after it
+    corrupt(monkeypatch, 100, {(101, 5): (1, 2, 3, 4)})
+    rc, _, err = run(capsys, "total", "--n", "100", "--brute")
+    assert rc == 1 and "(1, 2, 3, 4)" in err
+
+
 @pytest.mark.parametrize("argv", [("--n", "4801282"), ("--range", "4801280..4801282")])
 def test_total_checks_int64_limit_first(capsys, monkeypatch, argv):
     # above n = 4801281 the sum-bucket count would wrap int64 and blame the formula
@@ -228,6 +267,98 @@ def test_verify_suites(capsys):
     rc, out, _ = run(capsys, "verify", "--suite", "all", "--trials", "60")
     assert rc == 0
     assert "non-rainbow floor PASS" in out
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+@pytest.mark.parametrize("suite", ["lev", "all", "lemmas"])
+def test_verify_rejects_trials_below_one(capsys, suite, trials):
+    rc, out, err = run(capsys, "verify", "--suite", suite, "--trials", trials)
+    assert rc == 1 and out == ""
+    assert "--trials must be at least 1" in err
+
+
+def plus_one_at(real, hit):
+    """`real` with 1 added wherever hit(args, m) holds; m is an int or an array of m."""
+    return lambda *args: real(*args) + hit(args[:-1], np.asarray(args[-1]))
+
+
+def bumped_profiles(real):
+    """rep_profile with r_{J+J}(0) one too large for J = [-1, 1]."""
+
+    def rep_profile(A, B):
+        p = real(A, B)
+        if A == B == repfn.IntSet([-1, 0, 1]):
+            counts = list(p.counts)
+            counts[-p.lo] += 1
+            p = repfn.RepProfile(p.lo, p.hi, tuple(counts))
+        return p
+
+    return rep_profile
+
+
+# one entry made wrong through what each lemma line reads
+LEMMA_FAULTS = {
+    "rep two intervals": [
+        (cli, "closed_rep_two_intervals", lambda f: plus_one_at(f, lambda ab, m: (ab == (3, 7)) * (m == -2)))
+    ],
+    "rep one interval": [
+        (cli, "closed_rep_one_interval", lambda f: plus_one_at(f, lambda a, m: (a == (5,)) * (m == 3)))
+    ],
+    "interval energy": [(cli, "closed_energy4_interval", lambda f: lambda a: f(a) + (a == 7))],
+    # r_{[-1,1]+[-1,1]}(0) + r_{[-1,1]+[-1,1]}(0) = 6 = 2 r_{J+J}(0) holds with equality at radii (1, 1, 1, 1)
+    "sum dominance": [
+        (repfn, "closed_rep_two_intervals", lambda f: plus_one_at(f, lambda ab, m: (ab == (1, 1)) * (m == 0)))
+    ],
+    "product dominance": [(cli, "rep_profile", bumped_profiles), (repfn, "rep_profile", bumped_profiles)],
+}
+
+
+@pytest.mark.parametrize("line", LEMMA_FAULTS)
+def test_verify_lemma_line_fails_on_one_wrong_entry(capsys, monkeypatch, line):
+    for module, name, fault in LEMMA_FAULTS[line]:
+        monkeypatch.setattr(module, name, fault(getattr(module, name)))
+    rc, out, _ = run(capsys, "verify", "--suite", "lemmas")
+    assert rc == 2
+    lines = out.splitlines()
+    assert len(lines) == 5 and f"{line} FAIL" in lines
+
+
+def test_oracle_jobs_stay_under_the_naive_scan_peak(capsys, tmp_path):
+    # The n = 240 `rainbow --method all` job sets the memory peak of these
+    # oracle jobs; verify and total, run after it in that order, must not raise
+    # it. Peaks are taken from one baseline, so what verify leaves behind counts
+    # toward total's. enumerate_quads(300) holds a table larger than that peak
+    # on its own, so for _count_enumerated(300) the checks' share is bounded.
+    path = coloring_file(tmp_path, random_coloring(240, 4, 1))
+    jobs = {
+        "rainbow": ["rainbow", "--coloring", path, "--method", "all"],
+        "verify": ["verify", "--suite", "all", "--trials", "500"],
+        "total": ["total", "--range", "4..60"],
+    }
+    assert main(["total", "--n", "5"]) == 0  # warm-up
+    capsys.readouterr()
+    peaks = {}
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for name, argv in jobs.items():
+            tracemalloc.reset_peak()
+            assert main(argv) == 0
+            peaks[name] = tracemalloc.get_traced_memory()[1] - base
+        capsys.readouterr()
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        for _ in enumerate_quads(300):
+            pass
+        table = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        assert cli._count_enumerated(300) == total_quads_formula(300)
+        checks = tracemalloc.get_traced_memory()[1] - base - table
+    finally:
+        tracemalloc.stop()
+    assert peaks["verify"] < peaks["rainbow"], peaks
+    assert peaks["total"] < peaks["rainbow"], peaks
+    assert checks < peaks["rainbow"], (checks, peaks)
 
 
 def test_sweep_csv(capsys, tmp_path):

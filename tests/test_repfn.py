@@ -1,12 +1,16 @@
 """Representation profiles, energies, and the dominance/compression checks."""
+import itertools
+from collections import Counter
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sidonrainbow import repfn
 from sidonrainbow.repfn import (
     IntSet,
     RepProfile,
-    _fold_energy_slow,
     additive_energy,
     check_energy_dominance,
     check_lev,
@@ -24,6 +28,21 @@ int_sets = st.sets(st.integers(-10, 10), min_size=1, max_size=8).map(IntSet)
 
 def interval(r):
     return IntSet(range(-r, r + 1))
+
+
+def _fold_energy_slow(sets) -> int:
+    """Pure-Python reference fold; must be bit-identical to additive_energy."""
+    if any(len(s) == 0 for s in sets):
+        return 0
+    acc = {0: 1}
+    for s in sets:
+        nxt: dict[int, int] = {}
+        for m, cnt in acc.items():
+            for a in s.values:
+                key = m + a
+                nxt[key] = nxt.get(key, 0) + cnt
+        acc = nxt
+    return acc.get(0, 0)
 
 
 def test_intset():
@@ -52,6 +71,40 @@ def test_rep_profile_hand():
     assert [p[m] for m in range(2, 6)] == [1, 1, 1, 1]
     with pytest.raises(ValueError):
         rep_profile(IntSet([]), IntSet([1]))
+
+
+sparse_sets = st.sets(st.integers(-3000, 3000), min_size=1, max_size=6).map(IntSet)
+negative_sets = st.sets(st.integers(-80, -1), min_size=1, max_size=30).map(IntSet)
+# 40 x 40 pairs at least: several row blocks of rep_profile
+wide_sets = st.sets(st.integers(-150, 150), min_size=40, max_size=120).map(IntSet)
+
+
+def assert_pairwise_profile(A, B):
+    p = rep_profile(A, B)
+    sums = Counter(a + b for a, b in itertools.product(A, B))
+    assert (p.lo, p.hi) == (min(sums), max(sums))
+    assert list(p.counts) == [sums[m] for m in p.support()]
+    assert all(type(c) is int for c in p.counts)
+
+
+@given(st.one_of(int_sets, sparse_sets, negative_sets), st.one_of(int_sets, sparse_sets, negative_sets))
+def test_rep_profile_matches_pairwise_counter(A, B):
+    assert_pairwise_profile(A, B)
+
+
+@given(wide_sets, wide_sets)
+@settings(max_examples=30)
+def test_rep_profile_across_row_blocks(A, B):
+    assert len(A) * len(B) > 2 * repfn._BLOCK
+    assert_pairwise_profile(A, B)
+
+
+def test_profile_window_pads_with_zeros():
+    p = RepProfile(2, 4, (1, 0, 2))
+    assert p.window(0, 6).tolist() == [0, 0, 1, 0, 2, 0, 0]
+    assert p.window(3, 3).tolist() == [0]
+    assert p.window(-5, 1).tolist() == [0] * 7 and p.window(5, 8).tolist() == [0] * 4
+    assert p.window(0, 6).dtype == np.int64
 
 
 @given(int_sets, int_sets)
@@ -123,6 +176,24 @@ def test_closed_forms_match_profiles(alpha, extra, m):
     assert closed_rep_one_interval(alpha, m) == q[m]
 
 
+@given(st.integers(1, 15), st.integers(0, 15))
+def test_closed_forms_on_arrays_match_scalar_calls(alpha, extra):
+    beta = alpha + extra
+    ms = np.arange(-(alpha + beta) - 3, alpha + beta + 4, dtype=np.int64)
+    two = closed_rep_two_intervals(alpha, beta, ms)
+    one = closed_rep_one_interval(alpha, ms)
+    assert two.dtype == one.dtype == np.int64
+    assert two.tolist() == [closed_rep_two_intervals(alpha, beta, m) for m in ms.tolist()]
+    assert one.tolist() == [closed_rep_one_interval(alpha, m) for m in ms.tolist()]
+
+
+def test_closed_forms_scalar_calls_return_int():
+    assert type(closed_rep_two_intervals(2, 5, 3)) is int
+    assert type(closed_rep_two_intervals(2, 5, 40)) is int
+    assert type(closed_rep_one_interval(3, -2)) is int
+    assert type(closed_rep_one_interval(3, 9)) is int
+
+
 @pytest.mark.parametrize("alpha, value", [(1, 19), (2, 85)])
 def test_energy4_spots(alpha, value):
     assert closed_energy4_interval(alpha) == value
@@ -145,6 +216,34 @@ def test_sum_dominance_examples():
         check_sum_dominance(1, 1, 1, 1, 3)
     with pytest.raises(ValueError, match="radii"):
         check_sum_dominance(0, 2, 1, 1, 0)
+
+
+def test_sum_dominance_on_arrays():
+    # one failing m among passing ones fails the whole array
+    assert check_sum_dominance(1, 1, 1, 5, np.arange(-2, 3))
+    assert not check_sum_dominance(1, 1, 1, 5, np.arange(-4, 5))
+    assert check_sum_dominance(1, 1, 1, 5, np.arange(-4, 5)) is False
+    assert check_sum_dominance(1, 1, 3, 3, np.array([], dtype=np.int64))
+    for radii in [(1, 1, 1, 5), (2, 3, 1, 2), (1, 1, 3, 3)]:
+        ms = np.arange(-sum(radii) // 2, sum(radii) // 2 + 1)
+        assert check_sum_dominance(*radii, ms) == all(check_sum_dominance(*radii, m) for m in ms.tolist())
+    with pytest.raises(ValueError, match="exceeds"):
+        check_sum_dominance(1, 1, 1, 1, np.array([0, 1, -3]))
+
+
+@given(st.tuples(st.integers(1, 8), st.integers(1, 8), st.integers(1, 8), st.integers(1, 8)))
+def test_energy_dominance_with_shared_profiles(radii):
+    a1, a2, a3, a4 = radii
+    if (a1 + a2 + a3 + a4) % 4:
+        return
+    pairs = {(a, b): rep_profile(interval(a), interval(b)) for a, b in ((a1, a2), (a3, a4))}
+    assert check_energy_dominance(a1, a2, a3, a4, pairs) == check_energy_dominance(a1, a2, a3, a4)
+    # a profile that is too large at one m is caught
+    p = pairs[a1, a2]
+    bigger = list(p.counts)
+    bigger[-p.lo] += (a1 + a2 + a3 + a4) ** 3  # more than the whole right side
+    pairs[a1, a2] = RepProfile(p.lo, p.hi, tuple(bigger))
+    assert not check_energy_dominance(a1, a2, a3, a4, pairs)
 
 
 @given(st.tuples(st.integers(1, 8), st.integers(1, 8), st.integers(1, 8), st.integers(1, 8)))
