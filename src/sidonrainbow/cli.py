@@ -115,6 +115,7 @@ def _count_enumerated(n: int) -> int:
             block[:, used : used + m] = q.T
             used += m
         count += m
+        del q  # before the next bucket is built
     _check_rows(block[:, :used], n)
     return count
 

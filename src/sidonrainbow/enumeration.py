@@ -45,13 +45,16 @@ def enumerate_quads(n: int) -> Iterator[np.ndarray]:
     (x1, x2, x3, x4) lexicographically ascending within each l.
 
     A sum l has p pairs {l - x, x}, smaller element x from hi down to lo, and
-    its quads are the rows (r, c) of np.tril_indices(p, -1): x4 = hi - r,
-    x3 = hi - c. The first C(p, 2) rows of that table are the table for every
-    smaller p, so one table, for the largest sum's n // 2 pairs, is sliced.
+    its quads are the index pairs c < r < p in row-major order: x4 = hi - r,
+    x3 = hi - c. The first C(p, 2) of them serve every smaller p, so one int32
+    table, for the largest sum's n // 2 pairs, is built and sliced.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    rows, cols = (t.astype(np.int32) for t in np.tril_indices(n // 2, -1))
+    r = np.arange(n // 2, dtype=np.int32)
+    rows = np.repeat(r, r)
+    cols = np.arange(len(rows), dtype=np.int32)
+    cols -= np.repeat(r * (r - 1) // 2, r)  # the index where row r starts
     for l in range(5, 2 * n):
         lo, hi = max(1, l - n), (l - 1) // 2
         p = hi - lo + 1
@@ -65,6 +68,7 @@ def enumerate_quads(n: int) -> Iterator[np.ndarray]:
         np.subtract(l, x3, out=x2)
         np.subtract(l, x4, out=x1)
         yield q.T
+        del x1, x2, x3, x4, q  # so a consumer that drops each block holds one at a time
 
 
 def total_quads_formula(n: int) -> int:

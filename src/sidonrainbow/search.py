@@ -10,13 +10,12 @@ distinct colors. So a caller's hook can prune a subtree from its partial
 count, that bound and the class sizes; the exhaustive maximum prunes on
 count plus the bound, from a best count seeded by the mod-k coloring.
 
-One recolor-gain routine serves hill climbing and delta_recolor. It gives an
-element's gain row: T, the quads through the element whose other three
-elements show three distinct colors, and C[col], how many of those show col,
-so the element wearing col makes T - C[col] of its quads rainbow. A climb
-builds the row of every element once per start, reads each start's count off
-it, and after each move updates the rows along the O(n^2) quads through the
-recolored element only, not all O(n^3) quads.
+One recolor-gain table serves hill climbing and delta_recolor. An element's
+row holds T, the quads through the element whose other three elements show
+three distinct colors, and C[col], how many of those show col, so the element
+wearing col makes T - C[col] of its quads rainbow. A climb rebuilds the table
+from integer convolutions, O(k n^2), after every move, rather than updating
+rows along the O(n^2) quads through the recolored element.
 """
 from __future__ import annotations
 
@@ -24,6 +23,8 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .core import Coloring, Domain, mod_coloring, random_coloring
 from .counting import count_rainbow_naive
@@ -212,40 +213,77 @@ def exhaustive_ar(n: int, k: int, max_states: int = 1_000_000) -> SearchResult:
     )
 
 
-def _rows(cols: list[int], k: int, targets: Sequence[int]) -> list[list[int]]:
-    """Gain rows [T, C[1], ..., C[k]] of the element indices targets.
+# Same-colored pairs (e, z) that _gain_table tallies at a time for its x = e
+# term: 16 KiB per intp matrix, or one row of them when a class is larger.
+_BLOCK = 1 << 11
 
-    T counts the quads through element i whose other three elements show
-    three distinct colors, and C[col] those of them that show col, so i
-    wearing col makes T - C[col] of its quads rainbow. Each quad through i is
-    found once from i's side partner x: the opposite side is any other pair
-    with sum s = i + x. So the two-colored pairs of each sum are tallied by
-    color once, and each target with a partner at that sum reads the tally.
-    The pair {i, x} itself shows x's color and drops out, so a row does not
-    depend on its own element's color.
+
+def _gain_table(cols: Sequence[int], k: int) -> np.ndarray:
+    """Gain rows [T, C[1], ..., C[k]] of every element index, as an (n, k + 1)
+    int64 array.
+
+    T counts the quads through element e whose other three elements show
+    three distinct colors, and C[col] those of them that show col, so e
+    wearing col makes T - C[col] of its quads rainbow. Each quad through e is
+    found once from e's side partner x, as a two-colored pair {y, z} with
+    y + z = e + x that avoids x's color; {e, x} itself shows x's color and
+    drops out. With I_c color c's indicator, by pair sum s:
+
+      R_c = I_c * (1 - I_c)          two-colored pairs showing c,
+      H_c = sum_c' R_c' / 2 - R_c    two-colored pairs avoiding c.
+
+    T sums H_{c_x}(e + x) over x; C[col] sums H_col(e + x) over the x of
+    color col and R_col(e + x) - (I_col * I_{c_x})(e + x) over the others,
+    whose products add up to I_col convolved with the difference histogram
+    of the other colors' same-colored pairs: five integer np.convolve or
+    np.correlate calls of O(n^2) per color, no float, no FFT. The x = e term,
+    read at s = 2e, is taken off: H_{c_e}(2e) in T and C[c_e], and in another
+    C[col] R_col(2e) less the y of color col whose mirror 2e - y has e's
+    color, tallied over the same-colored pairs (e, z) as y = 2e - z.
     """
-    n = len(cols)
-    rows = [[0] * (k + 1) for _ in targets]
-    for s in range(1, 2 * n - 2):
-        tally: dict[tuple[int, int], int] = {}
-        for y in range(max(0, s - n + 1), (s - 1) // 2 + 1):
-            a, b = cols[y], cols[s - y]
-            if a != b:
-                key = (a, b) if a < b else (b, a)
-                tally[key] = tally.get(key, 0) + 1
-        for row, i in zip(rows, targets):
-            x = s - i
-            if not 0 <= x < n or x == i:
-                continue
-            cx, t = cols[x], 0
-            for (a, b), cnt in tally.items():
-                if cx != a and cx != b:
-                    t += cnt
-                    row[a] += cnt
-                    row[b] += cnt
-            row[0] += t
-            row[cx] += t
-    return rows
+    own = np.asarray(cols) - 1
+    n = len(own)
+    ind = (own == np.arange(k)[:, None]).astype(np.int64)
+    R = np.empty((k, 2 * n - 1), dtype=np.int64)
+    G = np.empty((k, 2 * n - 1), dtype=np.int64)
+    for c, i in enumerate(ind):
+        R[c] = np.convolve(i, 1 - i)
+        G[c] = np.correlate(i, i, "full")
+    half = R.sum(axis=0) // 2
+    np.subtract(G.sum(axis=0), G, out=G)  # same-colored pairs of the other colors, by difference
+    table = np.zeros((n, k + 1), dtype=np.int64)
+    for c, i in enumerate(ind):
+        h = np.correlate(half - R[c], i, "valid")
+        table[:, 0] += h
+        h += np.correlate(R[c], 1 - i, "valid")
+        h -= np.convolve(G[c], i, "valid")
+        table[:, c + 1] = h
+    del ind, G, h  # the x = e tally below sets the peak; hold little under it
+    # the x = e term; members[c] lists color c's elements, padded with 2n,
+    # whose mirror 2e - 2n falls outside [0, n) as y = n, the spare color k
+    even = 2 * np.arange(n)
+    self_h = half[even] - R[own, even]
+    term = R.T[even]
+    del R
+    order = np.argsort(own, kind="stable")
+    sizes = np.bincount(own, minlength=k)
+    members = np.full((k, sizes.max()), 2 * n)
+    members[own[order], np.arange(n) - np.repeat(np.cumsum(sizes) - sizes, sizes)] = order
+    spare = np.append(own, k)
+    rows = max(1, _BLOCK // members.shape[1])
+    for a in range(0, n, rows):
+        y = members[own[a : a + rows]]
+        np.subtract(even[a : a + rows, None], y, out=y)
+        y[(y < 0) | (y >= n)] = n
+        y = spare[y]
+        y += (k + 1) * np.arange(len(y))[:, None]
+        term[a : a + rows] -= np.bincount(
+            y.ravel(), minlength=len(y) * (k + 1)
+        ).reshape(-1, k + 1)[:, :k]
+    term[np.arange(n), own] = self_h
+    table[:, 0] -= self_h
+    table[:, 1:] -= term
+    return table
 
 
 def delta_recolor(c: Coloring, i: int, newcolor: int) -> int:
@@ -256,88 +294,35 @@ def delta_recolor(c: Coloring, i: int, newcolor: int) -> int:
         raise ValueError(f"element {i} outside [1, {c.n}]")
     if not 1 <= newcolor <= c.k:
         raise ValueError(f"color {newcolor} outside [1, {c.k}]")
-    [row] = _rows(list(c.colors), c.k, [i - 1])
-    return row[c.colors[i - 1]] - row[newcolor]
+    row = _gain_table(c.colors, c.k)[i - 1]
+    return int(row[c.colors[i - 1]] - row[newcolor])
 
 
-def _table(cols: list[int], k: int) -> tuple[list[list[int]], int]:
-    """The gain row of every element, and the rainbow count of cols.
-
-    Every rainbow quad is rainbow through each of its four elements, so the
-    count is sum_i (T_i - C_i[cols[i]]) / 4.
-    """
-    rows = _rows(cols, k, range(len(cols)))
-    return rows, sum(row[0] - row[c] for row, c in zip(rows, cols)) // 4
-
-
-def _recolor(rows: list[list[int]], cols: list[int], p: int, new: int) -> None:
-    """Recolor element index p to new, keeping every gain row exact.
-
-    Only rows along the quads through p change. In a quad {p, x, y, z} with
-    p + x = y + z, the row of x sees the triple {p, y, z}, and the rows of y
-    and z see {p, x, z} and {p, x, y}; a triple counts once in T and once per
-    color while its colors are distinct, and p's color in it goes from old
-    to new. p's own row does not depend on p's color, so it stays.
-    """
-    n = len(cols)
-    old = cols[p]
-    cols[p] = new
-
-    def shift(e: int, a: int, b: int) -> None:
-        # the triple {p, a, b} seen from e, as p goes from old to new
-        ca, cb = cols[a], cols[b]
-        if ca == cb:
-            return
-        row = rows[e]
-        was = old != ca and old != cb
-        now = new != ca and new != cb
-        if was and now:
-            row[old] -= 1
-            row[new] += 1
-        elif was:
-            row[0] -= 1
-            row[old] -= 1
-            row[ca] -= 1
-            row[cb] -= 1
-        elif now:
-            row[0] += 1
-            row[new] += 1
-            row[ca] += 1
-            row[cb] += 1
-
-    for x in range(n):
-        if x == p:
-            continue
-        s = p + x
-        for y in range(max(0, s - n + 1), (s - 1) // 2 + 1):
-            if y == p or y == x:
-                continue  # the pair {p, x} itself
-            z = s - y
-            shift(x, y, z)
-            shift(y, x, z)
-            shift(z, x, y)
+def _best_move(cols: np.ndarray, k: int) -> tuple[int, int, int]:
+    """(rainbow count, gain, move) of cols from a fresh gain table. The count
+    is sum_e (T_e - C_e[cols[e]]) / 4, a rainbow quad being rainbow through
+    each of its elements. Move e * k + col - 1 recolors element index e to col,
+    gaining C_e[cols[e]] - C_e[col]; it is the first best in that order."""
+    table = _gain_table(cols, k)
+    here = table[np.arange(len(cols)), cols]
+    gain = (here[:, None] - table[:, 1:]).ravel()
+    best = int(gain.argmax())
+    return int((table[:, 0] - here).sum()) // 4, int(gain[best]), best
 
 
-def _climb(cols: list[int], rows: list[list[int]], move_budget: int) -> tuple[int, int]:
-    """Best-improvement hill climbing in place; returns (count gained, moves used).
+def _climb(cols: np.ndarray, k: int, move_budget: int) -> tuple[int, int]:
+    """Best-improvement hill climbing in place; returns (rainbow count, moves used).
 
-    Recoloring element i from cur to col changes the count by C_i[cur] -
-    C_i[col], read from the gain rows of _table; after each move _recolor
-    updates them along the O(n^2) quads through the moved element.
-    """
-    gained = moves = 0
-    while moves < move_budget:
-        best_delta, best_i, best_col = 0, -1, -1
-        for i, row in enumerate(rows):
-            low = min(row[1:])
-            if row[cols[i]] - low > best_delta:
-                best_delta, best_i, best_col = row[cols[i]] - low, i, row.index(low, 1)
-        if best_i < 0:
-            break  # plateau or local maximum: no strictly improving move
-        _recolor(rows, cols, best_i, best_col)
-        gained += best_delta
+    The gain table is rebuilt after each move; one table is alive at a time."""
+    count, gain, best = _best_move(cols, k)
+    moves = 0
+    while gain > 0 and moves < move_budget:
+        cols[best // k] = best % k + 1
+        count += gain
         moves += 1
-    return gained, moves
+        if moves < move_budget:
+            _, gain, best = _best_move(cols, k)
+    return count, moves
 
 
 def local_search(
@@ -366,14 +351,12 @@ def local_search(
             start = mod_coloring(n, k)
         else:
             start = random_coloring(n, k, seed + r)
-        cols = list(start.colors)
-        rows, count = _table(cols, k)
-        gained, used = _climb(cols, rows, budget_left)
-        count += gained
+        cols = np.array(start.colors)
+        count, used = _climb(cols, k, budget_left)
         budget_left -= used
         total_moves += used
         if count > best_count:
-            best_count, best_cols = count, tuple(cols)
+            best_count, best_cols = count, tuple(cols.tolist())
         if budget_left <= 0:
             break
     witness = Coloring(Domain.INTERVAL, n, k, best_cols)

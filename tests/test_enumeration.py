@@ -2,6 +2,7 @@
 import inspect
 import itertools
 import tracemalloc
+from math import comb
 
 import numpy as np
 import pytest
@@ -70,6 +71,27 @@ def test_enumerate_order_contract():
     for n in (7, 12, 19):
         keys = [(q.pair_sum, q.elements) for q in quads(n)]
         assert keys == sorted(keys)
+
+
+def test_enumerate_holds_one_table_and_one_block():
+    # At n = 300 the shared (row, col) int32 table holds C(150, 2) pairs, 87 KiB,
+    # and the largest pair sum's block of rows twice that. Building the table
+    # takes less than another table; a consumer that drops each block holds
+    # the table and one block.
+    table = 2 * 4 * comb(150, 2)
+    list(enumerate_quads(300))  # first calls may fill lazy caches
+    tracemalloc.start()
+    try:
+        blocks = enumerate_quads(300)
+        next(blocks)
+        setup = tracemalloc.get_traced_memory()[1]
+        for q in blocks:
+            del q
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert setup < 2 * table
+    assert peak < 3 * table + 16 * 1024
 
 
 @pytest.mark.parametrize("n, expected", [(4, 1), (5, 3), (10, 50), (12, 95), (20, 525)])

@@ -4,6 +4,7 @@ import itertools
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -186,36 +187,46 @@ def test_delta_matches_recount_large_n():
         assert delta_recolor(c, i, newcolor) == count_rainbow_naive(recolored).rainbow - base
 
 
-def fresh_row(cols, k, i):
-    # T and C[1..k] of element index i straight from the definition: every
+def fresh_rows(cols, k):
+    # T and C[1..k] of every element index straight from the definition: each
     # quad through i whose other three elements show three distinct colors
-    row = [0] * (k + 1)
-    for quad in itertools.combinations(range(len(cols)), 4):
-        a, b, c, d = quad  # a < b < c < d: only a + d = b + c can balance
-        if a + d != b + c or i not in quad:
-            continue
-        others = {cols[e] for e in quad if e != i}
-        if len(others) == 3:
-            row[0] += 1
-            for col in others:
-                row[col] += 1
-    return row
+    n = len(cols)
+    rows = [[0] * (k + 1) for _ in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            for c in range(b + 1, n):
+                d = b + c - a  # a < b < c < d: only a + d = b + c can balance
+                if not c < d < n:
+                    continue
+                quad = (a, b, c, d)
+                for i in quad:
+                    others = {cols[e] for e in quad if e != i}
+                    if len(others) == 3:
+                        rows[i][0] += 1
+                        for col in others:
+                            rows[i][col] += 1
+    return rows
 
 
 @given(st.integers(5, 40), st.integers(4, 8), st.integers(0, 10**6), st.data())
 @settings(max_examples=40, deadline=None)
 def test_gain_table_stays_exact(n, k, seed, data):
     cols = list(random_coloring(n, k, seed).colors)
-    rows, count = search._table(cols, k)
-    assert count == count_rainbow_naive(Coloring(Domain.INTERVAL, n, k, tuple(cols))).rainbow
     for _ in range(data.draw(st.integers(1, 4))):
         p = data.draw(st.integers(0, n - 1))
-        new = data.draw(st.integers(1, k).filter(lambda col: col != cols[p]))
-        search._recolor(rows, cols, p, new)
-        assert cols[p] == new
-        assert rows == search._rows(cols, k, range(n))
-    for i in range(0, n, 7):
-        assert rows[i] == fresh_row(cols, k, i)
+        cols[p] = data.draw(st.integers(1, k).filter(lambda col: col != cols[p]))
+    table = search._gain_table(cols, k)
+    assert table.dtype == np.int64 and table.shape == (n, k + 1)
+    assert table.tolist() == fresh_rows(cols, k)
+    count, _, _ = search._best_move(np.array(cols), k)
+    assert count == count_rainbow_naive(Coloring(Domain.INTERVAL, n, k, tuple(cols))).rainbow
+
+
+def test_gain_table_on_skewed_colorings():
+    # one large class, unused colors and n < k: the x = e term tallies a class
+    # in several blocks, or a row holds no same-colored pair but its own
+    for cols, k in (([1] * 150 + [2, 3, 4, 2], 4), ([3, 1, 3, 5, 3], 7), ([2], 4), ([1, 2], 4)):
+        assert search._gain_table(cols, k).tolist() == fresh_rows(cols, k)
 
 
 # (n, k, seed, restarts, max_moves) -> best_count, moves and witness colors,
@@ -227,6 +238,7 @@ PINNED_CLIMBS = [
     ((17, 4, 0, 6, 400), 101, 34, "24313424213124213"),
     ((8, 5, 1, 6, 400), 13, 11, "25434125"),
     ((45, 7, 11, 3, 25), 3702, 25, "1234567" * 6 + "123"),
+    ((200, 4, 511025150, 2, 30), 166650, 30, "1234" * 50),
 ]
 
 
@@ -235,6 +247,36 @@ def test_local_search_pinned(args, best, moves, witness):
     r = local_search(*args)
     assert (r.best_count, r.moves) == (best, moves)
     assert "".join(map(str, r.best_coloring.colors)) == witness
+
+
+def test_climb_pinned_at_200():
+    # the n = 200 pin above reports its mod-k start; this is the climb of its
+    # random start, pinned with the climb that updated rows along the quads
+    # through each moved element, and replayed on quad lists in bench/oracle.py
+    cols = np.array(random_coloring(200, 4, 511025151).colors)
+    assert search._climb(cols, 4, 30) == (67611, 30)
+    witness = Coloring(Domain.INTERVAL, 200, 4, tuple(cols.tolist()))
+    assert count_rainbow_naive(witness).rainbow == 67611
+    assert "".join(map(str, witness.colors)) == CLIMB_200
+
+
+CLIMB_200 = (
+    "43243134341131124121234333342214321224311344234321341222321244214333"
+    "24331123242431121424341331414121241324341234314321244311224131341334"
+    "2443322143212341133422113414122431422112422414133414213223432124"
+)
+
+
+def test_local_search_memory():
+    # one gain table at a time, freed before the naive witness recount
+    local_search(60, 8, 511025150, 4, 6)  # first calls may fill lazy caches
+    tracemalloc.start()
+    try:
+        local_search(60, 8, 511025150, 4, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 44 * 1024
 
 
 def test_local_search_deterministic():
@@ -283,7 +325,7 @@ def test_local_search_stop_reason():
 def test_local_search_checks_scan_ceiling(monkeypatch):
     n = next(n for n in range(4, 10**4) if total_quads_formula(n) > SCAN_CEILING)
     monkeypatch.setattr(search, "mod_coloring", lambda *a: pytest.fail("start built"))
-    monkeypatch.setattr(search, "_rows", lambda *a: pytest.fail("table built"))
+    monkeypatch.setattr(search, "_gain_table", lambda *a: pytest.fail("table built"))
     with pytest.raises(ValueError, match=f"{total_quads_formula(n)} quads.*{SCAN_CEILING}"):
         local_search(n, 4, seed=0, restarts=1, max_moves=1)
 
