@@ -15,12 +15,10 @@ conflate, so they get separate names here:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional
 
-from .core import mod_coloring
-from .counting import count_rainbow_fast
 from .enumeration import modular_count_formula, total_quads_formula
 
 FLAG_UPPER = "+O_k(n^2)"
@@ -72,11 +70,6 @@ class BoundsReport:
     s_k: int
 
 
-def _sig6(x: Fraction) -> str:
-    """Decimal rendering with 6 significant digits."""
-    return f"{float(x):.6g}"
-
-
 def bounds_report(n: int, k: int) -> BoundsReport:
     """Evaluate all bound formulas for n >= k >= 4."""
     if k < 4 or n < k:
@@ -100,80 +93,26 @@ def bounds_report(n: int, k: int) -> BoundsReport:
     )
 
 
-def _fmt(x: Optional[Fraction], flag: Optional[str] = None) -> str:
-    if x is None:
-        return "-"
-    body = f"{x.numerator}/{x.denominator} ({_sig6(x)})" if x.denominator != 1 else f"{x} ({_sig6(x)})"
-    return f"{body} {flag}" if flag else body
-
-
 def report_to_text(r: BoundsReport) -> str:
-    rows = [
-        ("n", str(r.n)),
-        ("k", str(r.k)),
-        ("total_exact", str(r.total_exact)),
-        ("ub_trivial", _fmt(r.ub_trivial)),
-        ("ub_general", _fmt(r.ub_general, r.ub_general_flag)),
-        ("ub_k4", _fmt(r.ub_k4, r.ub_k4_flag)),
-        ("lb_construction", _fmt(r.lb_construction, r.lb_construction_flag)),
-        ("cyclic_ub_k4", _fmt(r.cyclic_ub_k4)),
-        ("cyclic_lb_k4", _fmt(r.cyclic_lb_k4)),
-        ("s_k", str(r.s_k)),
-    ]
-    width = max(len(name) for name, _ in rows)
-    return "\n".join(f"{name:<{width}}  {val}" for name, val in rows)
-
-
-def _frac_json(x: Optional[Fraction]) -> Optional[str]:
-    if x is None:
-        return None
-    return f"{x.numerator}/{x.denominator}"
+    """One row per field in field order; a *_flag field joins its value's row."""
+    rows = {}
+    for f in fields(r):
+        x = getattr(r, f.name)
+        if f.name.endswith("_flag"):
+            if x:
+                rows[f.name.removesuffix("_flag")] += f" {x}"
+        elif isinstance(x, Fraction):
+            rows[f.name] = f"{x} ({float(x):.6g})"
+        else:
+            rows[f.name] = "-" if x is None else str(x)
+    width = max(map(len, rows))
+    return "\n".join(f"{name:<{width}}  {val}" for name, val in rows.items())
 
 
 def report_to_json(r: BoundsReport) -> str:
+    """One-line JSON object keyed in field order; fractions as "p/q", None as null."""
+    values = ((f.name, getattr(r, f.name)) for f in fields(r))
     return json.dumps(
-        {
-            "n": r.n,
-            "k": r.k,
-            "total_exact": r.total_exact,
-            "ub_trivial": _frac_json(r.ub_trivial),
-            "ub_general": _frac_json(r.ub_general),
-            "ub_general_flag": r.ub_general_flag,
-            "ub_k4": _frac_json(r.ub_k4),
-            "ub_k4_flag": r.ub_k4_flag,
-            "lb_construction": _frac_json(r.lb_construction),
-            "lb_construction_flag": r.lb_construction_flag,
-            "cyclic_ub_k4": _frac_json(r.cyclic_ub_k4),
-            "cyclic_lb_k4": _frac_json(r.cyclic_lb_k4),
-            "s_k": r.s_k,
-        },
+        {name: f"{x.numerator}/{x.denominator}" if isinstance(x, Fraction) else x for name, x in values},
         separators=(",", ":"),
     )
-
-
-@dataclass(frozen=True)
-class ConstructionReport:
-    """Measured rainbow count of the mod-k coloring against its limit coefficient."""
-
-    n: int
-    k: int
-    rainbow: int
-    ratio: Fraction
-    target_coefficient: Fraction
-    gap: Fraction
-
-
-def check_construction_vs_lb(n: int, k: int) -> ConstructionReport:
-    """Exact rainbow count of mod_coloring(n, k) versus 2|S(k)| / (3k^3).
-
-    The ratio rainbow/n^3 approaches the target from below as n grows; the
-    monotone trend itself is asserted in tests, not here.
-    """
-    if k < 4 or n < k:
-        raise ValueError(f"need n >= k >= 4, got n={n}, k={k}")
-    if n % k != 0:
-        raise ValueError(f"need k | n, got n={n}, k={k}")
-    rainbow = count_rainbow_fast(mod_coloring(n, k))
-    ratio = Fraction(rainbow, n**3)
-    target = Fraction(2 * modular_count_formula(k), 3 * k**3)
-    return ConstructionReport(n, k, rainbow, ratio, target, target - ratio)

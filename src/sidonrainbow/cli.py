@@ -4,7 +4,8 @@ Subcommands: total, rainbow, bounds, search, verify, sweep. Every invocation
 is deterministic given its flags; all randomness flows from explicit --seed.
 
 Exit codes: 0 success, 1 usage or IO error, 2 verification mismatch,
-3 search budget exceeded.
+3 search budget exceeded. A subcommand returns 0 or 2 and raises on failure;
+main alone maps a failure to its exit code and its stderr message.
 """
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import argparse
 import csv
 import functools
 import gc
+import io
 import itertools
 import random
 import sys
@@ -66,11 +68,7 @@ class _Parser(argparse.ArgumentParser):
     # usage problems exit 1, not argparse's default 2
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(self.exit_code_on_error(message))
-
-    def exit_code_on_error(self, message) -> int:
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        return EXIT_USAGE
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -100,21 +98,19 @@ def _count_enumerated(n: int) -> int:
     """total's third route: the quads enumerate_quads yields, counted after the
     checks SidonQuad makes (x1 > x2 > x3 > x4, x1 + x4 = x2 + x3) and a range
     check (1 <= x4, x1 <= n), on consecutive pair-sum buckets packed into blocks
-    of at most _CHECK_ROWS rows (a larger bucket alone); a ValueError names the
-    first quad that fails, in enumeration order."""
+    of _CHECK_ROWS rows (a larger bucket in slices of that many); a ValueError
+    names the first quad that fails, in enumeration order."""
     block = np.empty((4, _CHECK_ROWS), dtype=np.int32)
     count = used = 0
     for q in enumerate_quads(n):
-        m = len(q)
-        if used + m > _CHECK_ROWS:
-            _check_rows(block[:, :used], n)
-            used = 0
-        if m > _CHECK_ROWS:
-            _check_rows(q.T, n)
-        else:
-            block[:, used : used + m] = q.T
+        for i in range(0, len(q), _CHECK_ROWS):
+            m = min(len(q) - i, _CHECK_ROWS)
+            if used + m > _CHECK_ROWS:
+                _check_rows(block[:, :used], n)
+                used = 0
+            block[:, used : used + m] = q[i : i + m].T
             used += m
-        count += m
+        count += len(q)
         del q  # before the next bucket is built
     _check_rows(block[:, :used], n)
     return count
@@ -172,12 +168,7 @@ def _cmd_rainbow(args) -> int:
         return EXIT_USAGE
     status = EXIT_OK
     for c in colorings:
-        try:
-            counts = _rainbow_counts(c, args.method)
-        except ValueError as e:
-            print(str(e), file=sys.stderr)
-            return EXIT_USAGE
-        vals = list(counts.values())
+        vals = list(_rainbow_counts(c, args.method).values())
         if args.method == "all":
             ok = len(set(vals)) == 1
             if not ok:
@@ -189,36 +180,29 @@ def _cmd_rainbow(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    try:
-        report = bounds_report(args.n, args.k)
-    except ValueError as e:
-        print(str(e), file=sys.stderr)
-        return EXIT_USAGE
+    report = bounds_report(args.n, args.k)
     print(report_to_json(report) if args.json else report_to_text(report))
     return EXIT_OK
 
 
-def _cmd_search(args) -> int:
+def _write(path: str, text: str) -> int:
+    # newline="" writes line ends as given: csv ends its rows with \r\n
     try:
-        if args.exhaustive:
-            result = exhaustive_ar(args.n, args.k)
-        else:
-            result = local_search(args.n, args.k, args.seed, args.restarts, args.moves)
-    except BudgetExceededError as e:
-        print(str(e), file=sys.stderr)
-        return EXIT_BUDGET
-    except ValueError as e:
-        print(str(e), file=sys.stderr)
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        print(f"cannot write {path}: {e}", file=sys.stderr)
         return EXIT_USAGE
-    print(result.best_count)
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(result_to_json(result) + "\n")
-        except OSError as e:
-            print(f"cannot write {args.out}: {e}", file=sys.stderr)
-            return EXIT_USAGE
     return EXIT_OK
+
+
+def _cmd_search(args) -> int:
+    if args.exhaustive:
+        result = exhaustive_ar(args.n, args.k)
+    else:
+        result = local_search(args.n, args.k, args.seed, args.restarts, args.moves)
+    print(result.best_count)
+    return _write(args.out, result_to_json(result) + "\n") if args.out else EXIT_OK
 
 
 def _suite_closed_forms() -> list[tuple[str, bool]]:
@@ -288,48 +272,24 @@ def _cmd_sweep(args) -> int:
     try:
         ns = [int(part) for part in args.n_list.split(",") if part.strip()]
     except ValueError:
-        print(f"bad n-list {args.n_list!r}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"bad n-list {args.n_list!r}") from None
     if not ns:
-        print("empty n-list", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("empty n-list")
     k = args.k
-    rows = []
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(("n", "k", "coloring", "rainbow", "total", "ratio", "lb_coeff", "ub_coeff"))
     for n in ns:
-        try:
-            if args.coloring == "mod":
-                c = mod_coloring(n, k)
-            else:
-                c = random_coloring(n, k, args.seed)
-        except ValueError as e:
-            print(str(e), file=sys.stderr)
-            return EXIT_USAGE
+        c = mod_coloring(n, k) if args.coloring == "mod" else random_coloring(n, k, args.seed)
         rainbow = count_rainbow_fast(c)
-        lb = lb_coefficient(k)
-        ub = ub_general_coefficient(k)
-        rows.append(
-            {
-                "n": n,
-                "k": k,
-                "coloring": args.coloring,
-                "rainbow": rainbow,
-                "total": total_quads_formula(n),
-                "ratio": f"{float(Fraction(rainbow, n**3)):.8f}",
-                "lb_coeff": f"{lb.numerator}/{lb.denominator}",
-                "ub_coeff": f"{ub.numerator}/{ub.denominator}",
-            }
+        # after the coloring, which rejects k < 1 before these divide by k
+        lb, ub = lb_coefficient(k), ub_general_coefficient(k)
+        ratio = f"{float(Fraction(rainbow, n**3)):.8f}"
+        writer.writerow(
+            (n, k, args.coloring, rainbow, total_quads_formula(n), ratio,
+             f"{lb.numerator}/{lb.denominator}", f"{ub.numerator}/{ub.denominator}")
         )
-    try:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(
-                fh, fieldnames=["n", "k", "coloring", "rainbow", "total", "ratio", "lb_coeff", "ub_coeff"]
-            )
-            writer.writeheader()
-            writer.writerows(rows)
-    except OSError as e:
-        print(f"cannot write {args.out}: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    return EXIT_OK
+    return _write(args.out, out.getvalue())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -401,6 +361,9 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
+    except BudgetExceededError as e:
+        print(str(e), file=sys.stderr)
+        return EXIT_BUDGET
     except ValueError as e:
         print(str(e), file=sys.stderr)
         return EXIT_USAGE

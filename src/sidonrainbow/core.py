@@ -174,12 +174,14 @@ def random_coloring(n: int, k: int, seed: int, domain: Domain = Domain.INTERVAL)
     return Coloring(domain, n, k, tuple(rng.randint(1, k) for _ in range(n)))
 
 
+def coloring_dict(c: Coloring) -> dict:
+    """The JSON object of a coloring: {"domain", "n", "k", "colors"}."""
+    return {"domain": c.domain.value, "n": c.n, "k": c.k, "colors": list(c.colors)}
+
+
 def serialize_coloring(c: Coloring) -> str:
     """Canonical one-line JSON for a coloring; inverse of parse_coloring."""
-    return json.dumps(
-        {"domain": c.domain.value, "n": c.n, "k": c.k, "colors": list(c.colors)},
-        separators=(",", ":"),
-    )
+    return json.dumps(coloring_dict(c), separators=(",", ":"))
 
 
 def parse_coloring(text: str) -> Coloring:

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Coloring, Domain, mod_coloring, random_coloring
+from .core import Coloring, Domain, coloring_dict, mod_coloring, random_coloring
 from .counting import count_rainbow_naive
 from .enumeration import _check_scan, enumerate_quads, total_quads_formula
 
@@ -63,12 +63,7 @@ def result_to_json(r: SearchResult) -> str:
             "seed": r.seed,
             "exact": r.exact,
             "stop": r.stop,
-            "coloring": {
-                "domain": r.best_coloring.domain.value,
-                "n": r.best_coloring.n,
-                "k": r.best_coloring.k,
-                "colors": list(r.best_coloring.colors),
-            },
+            "coloring": coloring_dict(r.best_coloring),
         },
         separators=(",", ":"),
     )

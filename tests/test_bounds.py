@@ -8,7 +8,6 @@ from sidonrainbow.bounds import (
     FLAG_LOWER,
     FLAG_UPPER,
     bounds_report,
-    check_construction_vs_lb,
     lb_coefficient,
     report_to_json,
     report_to_text,
@@ -17,8 +16,8 @@ from sidonrainbow.bounds import (
     theta_total,
     ub_general_coefficient,
 )
-from sidonrainbow.counting import count_rainbow_naive
-from sidonrainbow.core import random_coloring
+from sidonrainbow.counting import count_rainbow_fast, count_rainbow_naive
+from sidonrainbow.core import mod_coloring, random_coloring
 from sidonrainbow.enumeration import modular_count_formula, total_quads_formula
 
 
@@ -104,16 +103,13 @@ def test_measured_counts_respect_trivial_ceiling():
 
 
 def test_construction_report():
-    rep = check_construction_vs_lb(48, 4)
-    assert rep.rainbow == 2300
-    assert rep.target_coefficient == Fraction(1, 48)
-    assert rep.ratio == Fraction(2300, 48**3)
-    assert rep.gap > 0
-    with pytest.raises(ValueError):
-        check_construction_vs_lb(50, 4)
+    # the mod-4 coloring of [48] against its limit coefficient 2|S(4)| / (3 * 4^3) = 1/48
+    rainbow = count_rainbow_fast(mod_coloring(48, 4))
+    assert rainbow == 2300
+    assert Fraction(rainbow, 48**3) < lb_coefficient(4) == Fraction(1, 48)
 
 
 def test_construction_ratio_climbs():
-    ratios = [check_construction_vs_lb(n, 5).ratio for n in (25, 50, 100)]
+    ratios = [Fraction(count_rainbow_fast(mod_coloring(n, 5)), n**3) for n in (25, 50, 100)]
     assert ratios == sorted(ratios)
     assert all(r < lb_coefficient(5) for r in ratios)

@@ -348,8 +348,8 @@ def test_oracle_jobs_stay_under_the_naive_scan_peak(capsys, tmp_path):
         capsys.readouterr()
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        for _ in enumerate_quads(300):
-            pass
+        for q in enumerate_quads(300):
+            del q  # as _count_enumerated drops each bucket
         table = tracemalloc.get_traced_memory()[1] - base
         tracemalloc.reset_peak()
         assert cli._count_enumerated(300) == total_quads_formula(300)
@@ -359,6 +359,135 @@ def test_oracle_jobs_stay_under_the_naive_scan_peak(capsys, tmp_path):
     assert peaks["verify"] < peaks["rainbow"], peaks
     assert peaks["total"] < peaks["rainbow"], peaks
     assert checks < peaks["rainbow"], (checks, peaks)
+
+
+def ar_budget_states(n):
+    """Canonical 4-colorings of [n]: sum of Stirling numbers S(n, j), j <= 4, in closed form."""
+    return 1 + (2 ** (n - 1) - 1) + (3**n - 3 * 2**n + 3) // 6 + (4**n - 4 * 3**n + 6 * 2**n - 4) // 24
+
+
+NO_FILE = "[Errno 2] No such file or directory"
+ROOT_USAGE = "usage: sidonrainbow [-h] {total,rainbow,bounds,search,verify,sweep} ...\n"
+
+# argv -> (exit code, stdout, stderr), run in a directory holding the files
+# that test_cli_failure_paths writes
+FAILURES = {
+    ("bounds", "--n", "3", "--k", "4"): (1, "", "need n >= k >= 4, got n=3, k=4\n"),
+    ("bounds", "--n", "10", "--k", "3"): (1, "", "need n >= k >= 4, got n=10, k=3\n"),
+    ("bounds", "--n", "x", "--k", "4"): (
+        1, "", "usage: sidonrainbow bounds [-h] --n N --k K [--json]\n"
+        "sidonrainbow bounds: error: argument --n: invalid int value: 'x'\n",
+    ),
+    ("search", "--n", "10", "--k", "4", "--local", "--restarts", "0"): (1, "", "need at least one start\n"),
+    ("search", "--n", "10", "--k", "3", "--local"): (1, "", "need n >= k >= 4, got n=10, k=3\n"),
+    ("search", "--n", "500", "--k", "4", "--exhaustive"): (
+        3, "", f"{ar_budget_states(500)} canonical colorings exceed the budget of 1000000\n",
+    ),
+    ("search", "--n", "14", "--k", "4", "--exhaustive"): (
+        3, "", "11188907 canonical colorings exceed the budget of 1000000\n",
+    ),
+    ("search", "--n", "600", "--k", "4", "--local"): (
+        1, "", "a local search at n=600 would scan 17865250 quads, over the ceiling of 10000000\n",
+    ),
+    ("search", "--n", "5", "--k", "4", "--exhaustive", "--out", "/nonexistent/x.json"): (
+        1, "2\n", f"cannot write /nonexistent/x.json: {NO_FILE}: '/nonexistent/x.json'\n",
+    ),
+    ("search", "--n", "10", "--k", "4"): (
+        1, "", "usage: sidonrainbow search [-h] --n N --k K (--exhaustive | --local)\n"
+        "                           [--seed SEED] [--restarts RESTARTS] [--moves MOVES]\n"
+        "                           [--out OUT]\n"
+        "sidonrainbow search: error: one of the arguments --exhaustive --local is required\n",
+    ),
+    ("rainbow", "--coloring", "e35.jsonl", "--method", "energy"): (
+        1, "35\n", "energy route needs exactly 4 colors, got k=5\n",
+    ),
+    ("rainbow", "--coloring", "cyc.jsonl", "--method", "energy"): (
+        1, "", "energy method applies to interval colorings only\n",
+    ),
+    ("rainbow", "--coloring", "missing.jsonl"): (1, "", f"cannot read missing.jsonl: {NO_FILE}: 'missing.jsonl'\n"),
+    ("rainbow", "--coloring", "bad.jsonl"): (
+        1, "", "bad coloring file: line 1: malformed JSON: Expecting property name enclosed in double quotes: "
+        "line 1 column 2 (char 1)\n",
+    ),
+    ("sweep", "--k", "5", "--n-list", "50,3", "--coloring", "mod", "--out", "s.csv"): (
+        1, "", "need n >= k >= 1, got n=3, k=5\n",
+    ),
+    ("sweep", "--k", "0", "--n-list", "8", "--coloring", "random", "--out", "s.csv"): (
+        1, "", "need n >= 1 and k >= 1, got n=8, k=0\n",
+    ),
+    ("sweep", "--k", "4", "--n-list", "48", "--coloring", "mod", "--out", "/nonexistent/x.csv"): (
+        1, "", f"cannot write /nonexistent/x.csv: {NO_FILE}: '/nonexistent/x.csv'\n",
+    ),
+    ("sweep", "--k", "4", "--n-list", "", "--coloring", "mod", "--out", "s.csv"): (1, "", "empty n-list\n"),
+    ("sweep", "--k", "4", "--n-list", "4,foo", "--coloring", "mod", "--out", "s.csv"): (1, "", "bad n-list '4,foo'\n"),
+    ("total", "--range", "9..2"): (1, "", "bad range '9..2'\n"),
+    ("total", "--n", "4801282"): (
+        1, "", "n=4801282 is too large for the int64 sum-bucket count: need n <= 4801281\n",
+    ),
+    ("verify", "--suite", "lev", "--trials", "0"): (1, "", "--trials must be at least 1, got 0\n"),
+    ("frobnicate",): (
+        1, "", ROOT_USAGE + "sidonrainbow: error: argument command: invalid choice: 'frobnicate' "
+        "(choose from 'total', 'rainbow', 'bounds', 'search', 'verify', 'sweep')\n",
+    ),
+    (): (1, "", ROOT_USAGE + "sidonrainbow: error: the following arguments are required: command\n"),
+}
+
+
+@pytest.mark.parametrize("argv", FAILURES, ids=lambda argv: " ".join(argv) or "(empty)")
+def test_cli_failure_paths(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal width
+    e35 = (mod_coloring(12, 4), mod_coloring(10, 5))  # 35 rainbow quads, then k = 5
+    (tmp_path / "e35.jsonl").write_text("".join(serialize_coloring(c) + "\n" for c in e35))
+    (tmp_path / "cyc.jsonl").write_text(serialize_coloring(mod_coloring(8, 4, Domain.CYCLIC)) + "\n")
+    (tmp_path / "bad.jsonl").write_text("{broken\n")
+    files = set(tmp_path.iterdir())
+    assert run(capsys, *argv) == FAILURES[argv]
+    assert set(tmp_path.iterdir()) == files  # nothing written
+
+
+# stdout bytes that json.loads would not see: key order, nulls, fractions, the text layout
+BOUNDS_STDOUT = {
+    ("--n", "96", "--k", "4", "--json"): '{"n":96,"k":4,"total_exact":70312,"ub_trivial":"70312/1",'
+    '"ub_general":"64512/1","ub_general_flag":"+O_k(n^2)","ub_k4":"27648/1","ub_k4_flag":"+O(n^2)",'
+    '"lb_construction":"18432/1","lb_construction_flag":"-O_k(n^2)","cyclic_ub_k4":"41472/1",'
+    '"cyclic_lb_k4":"27648/1","s_k":2}\n',
+    ("--n", "101", "--k", "7", "--json"): '{"n":101,"k":7,"total_exact":82075,"ub_trivial":"656601/8",'
+    '"ub_general":"13393913/168","ub_general_flag":"+O_k(n^2)","ub_k4":null,"ub_k4_flag":null,'
+    '"lb_construction":"2060602/49","lb_construction_flag":"-O_k(n^2)","cyclic_ub_k4":null,'
+    '"cyclic_lb_k4":null,"s_k":21}\n',
+    ("--n", "100", "--k", "5"): "n                100\n"
+    "k                5\n"
+    "total_exact      79625\n"
+    "ub_trivial       79625 (79625)\n"
+    "ub_general       75000 (75000) +O_k(n^2)\n"
+    "ub_k4            -\n"
+    "lb_construction  80000/3 (26666.7) -O_k(n^2)\n"
+    "cyclic_ub_k4     -\n"
+    "cyclic_lb_k4     -\n"
+    "s_k              5\n",
+}
+
+
+@pytest.mark.parametrize("argv", BOUNDS_STDOUT, ids=" ".join)
+def test_bounds_stdout_bytes(capsys, argv):
+    assert run(capsys, "bounds", *argv) == (0, BOUNDS_STDOUT[argv], "")
+
+
+SEARCH_OUT = {
+    5: (2, b'{"method":"exhaustive","best_count":2,"restarts":0,"moves":0,"seed":0,"exact":true,'
+        b'"stop":"complete","coloring":{"domain":"interval","n":5,"k":4,"colors":[1,2,1,3,4]}}\n'),
+    12: (37, b'{"method":"exhaustive","best_count":37,"restarts":0,"moves":0,"seed":0,"exact":true,'
+         b'"stop":"complete","coloring":{"domain":"interval","n":12,"k":4,"colors":[1,2,3,4,3,2,1,4,3,4,1,2]}}\n'),
+}
+
+
+@pytest.mark.parametrize("n", SEARCH_OUT)
+def test_search_out_bytes(capsys, tmp_path, n):
+    best, text = SEARCH_OUT[n]
+    path = tmp_path / "witness.json"
+    assert run(capsys, "search", "--n", str(n), "--k", "4", "--exhaustive", "--out", str(path)) == (0, f"{best}\n", "")
+    assert path.read_bytes() == text
 
 
 def test_sweep_csv(capsys, tmp_path):

@@ -1,6 +1,6 @@
 """The README's CLI examples, run as written: each `$ sidonrainbow ...` line of
 its CLI block through cli.main in an empty working directory, its stdout
-compared with the lines printed under it. A `...` line stands for any run of
+compared with the lines printed under it and its stderr empty. A `...` line stands for any run of
 lines, and a `$ cat FILE` line after a command compares FILE's lines."""
 import re
 import shlex
@@ -48,6 +48,8 @@ def test_readme_has_cli_examples():
 def test_readme_cli_example(argv, stdout, files, capsys, monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 0
-    assert matches(stdout, capsys.readouterr().out)
+    captured = capsys.readouterr()
+    assert matches(stdout, captured.out)
+    assert captured.err == ""
     for name, lines in files.items():
         assert matches(lines, (tmp_path / name).read_text(encoding="utf-8"))
