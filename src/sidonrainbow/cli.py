@@ -34,7 +34,6 @@ from .counting import (
 from .enumeration import (
     _check_scan,
     _check_sum_range,
-    _check_sums,
     count_quads_by_sums,
     enumerate_quads,
     total_quads_formula,
@@ -121,7 +120,6 @@ def _cmd_total(args) -> int:
     ns = range(lo, hi + 1)
     enumerated = [n for n in ns if n <= 60 or args.brute]
     # the limits for the whole command, checked before any line is printed
-    _check_sums(ns[-1])
     _check_sum_range(ns)
     _check_scan(sum(map(total_quads_formula, enumerated)), f"enumerating n={args.range or args.n}")
     status = EXIT_OK

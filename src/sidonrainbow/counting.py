@@ -303,11 +303,13 @@ def rainbow_via_energy(c: Coloring) -> int:
 
 def _cyclic_scan_size(n: int) -> int:
     """Pairs of same-sum pairs that count_rainbow_cyclic_naive scans: residue r
-    has (n - #{a : 2a = r mod n}) / 2 pairs {a, b} with a + b = r mod n."""
-    doubles = [0] * n
-    for a in range(n):
-        doubles[2 * a % n] += 1
-    return sum(comb((n - d) // 2, 2) for d in doubles)
+    has (n - #{a : 2a = r mod n}) / 2 pairs {a, b} with a + b = r mod n. For
+    odd n, 2a = r has one root a for every r; for even n, two for each of the
+    n/2 even r and none for the n/2 odd ones."""
+    h = n // 2
+    if n % 2:
+        return n * comb(h, 2)
+    return h * (comb(h - 1, 2) + comb(h, 2))
 
 
 def count_rainbow_cyclic_naive(c: Coloring) -> int:

@@ -61,12 +61,6 @@ class RepProfile:
     def __getitem__(self, m: int) -> int:
         return self.counts[m - self.lo] if self.lo <= m <= self.hi else 0
 
-    def total(self) -> int:
-        return sum(self.counts)
-
-    def support(self) -> range:
-        return range(self.lo, self.hi + 1)
-
     def window(self, lo: int, hi: int) -> np.ndarray:
         """r(m) for m = lo..hi as an int64 array, zero outside [self.lo, self.hi]."""
         out = np.zeros(hi - lo + 1, dtype=np.int64)

@@ -81,27 +81,27 @@ def _verified(result: SearchResult) -> SearchResult:
 
 def canonical_coloring_count(n: int, k: int) -> int:
     """Number of canonical colorings: partitions of [n] into at most k blocks."""
-    # Stirling numbers of the second kind, summed over block counts
-    row = [1] + [0] * n  # S(0, j)
-    for i in range(1, n + 1):
-        new = [0] * (n + 1)
-        for j in range(1, i + 1):
-            new[j] = j * row[j] + row[j - 1]
-        row = new
-    return sum(row[1 : min(k, n) + 1])
+    # Stirling numbers of the second kind S(i, j), only for j <= min(k, n)
+    m = min(k, n)
+    row = [1] + [0] * m  # S(0, j)
+    for _ in range(n):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, m + 1)]
+    return sum(row[1:])
 
 
 def _check_budget(n: int, k: int, max_states: int) -> None:
     states = canonical_coloring_count(n, k)
     if states > max_states:
+        try:
+            count = str(states)
+        except ValueError:  # more digits than Python converts to text
+            count = f"more than 10^{(states.bit_length() - 1) * 3 // 10}"
         raise BudgetExceededError(
-            f"{states} canonical colorings exceed the budget of {max_states}"
+            f"{count} canonical colorings exceed the budget of {max_states}"
         )
 
 
-def _walk(
-    n: int, k: int, max_states: int, enter: Callable[[int, int, int, list[int], list[int]], bool]
-) -> None:
+def _walk(n: int, k: int, enter: Callable[[int, int, int, list[int], list[int]], bool]) -> None:
     """Depth-first walk of the canonical k-colorings of [n], colors ascending.
 
     Each quad is scored once, at the depth where its largest element gets its
@@ -110,9 +110,9 @@ def _walk(
     colors: only those can still turn rainbow. At every node, elements
     0..pos-1 colored, enter(pos, count, alive, sizes, cols) is called; a False
     return skips the node's subtree. cols[i] is element i's color (0 while
-    unassigned) and sizes[c] is the size of color class c.
+    unassigned) and sizes[c] is the size of color class c. Callers check the
+    state budget first.
     """
-    _check_budget(n, k, max_states)
     # Colors go in index order, so the colored elements of a quad at the node
     # of element e are the quad's elements below e. closing[e] lists them for
     # the quads whose largest element is e; through[e] lists them, as a pair,
@@ -199,7 +199,7 @@ def exhaustive_ar(n: int, k: int, max_states: int = 1_000_000) -> SearchResult:
 
     if k >= 4:
         # a canonical coloring of [n] uses at most n colors
-        _walk(n, min(k, n), max_states, enter)
+        _walk(n, min(k, n), enter)
     witness = Coloring(Domain.INTERVAL, n, k, best_cols)
     return _verified(
         SearchResult(
@@ -373,6 +373,7 @@ def fox_spot_check(n: int, max_states: int = 1_000_000) -> bool:
     """
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
+    _check_budget(n, 4, max_states)
     threshold = -((n + 1) // -6)  # ceil((n+1)/6)
     ok = True
 
@@ -386,5 +387,5 @@ def fox_spot_check(n: int, max_states: int = 1_000_000) -> bool:
             ok = False  # a feasible coloring without a rainbow quad
         return True
 
-    _walk(n, 4, max_states, enter)
+    _walk(n, 4, enter)
     return ok

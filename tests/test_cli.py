@@ -3,6 +3,7 @@ import csv
 import json
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -135,9 +136,8 @@ def test_total_range_checks_one_ceiling(capsys, monkeypatch):
 
 
 def test_total_range_checks_the_sum_ceiling(capsys, monkeypatch):
-    # a single n up to the int64 limit fits the ceiling; 4..3163 is the widest range from 4
-    limit = enumeration.SUMS_MAX_N
-    enumeration._check_sum_range(range(limit, limit + 1))
+    # a single n up to 5000001 fits the ceiling; 4..3163 is the widest range from 4
+    enumeration._check_sum_range(range(5000001, 5000002))
     enumeration._check_sum_range(range(4, 3164))
     monkeypatch.setattr(cli, "count_quads_by_sums", lambda n: pytest.fail("sum buckets counted"))
     for hi in (3164, 200000):
@@ -203,13 +203,19 @@ def test_total_names_a_bad_row_in_a_bucket_larger_than_a_block(capsys, monkeypat
     assert rc == 1 and "(1, 2, 3, 4)" in err
 
 
-@pytest.mark.parametrize("argv", [("--n", "4801282"), ("--range", "4801280..4801282")])
-def test_total_checks_int64_limit_first(capsys, monkeypatch, argv):
-    # above n = 4801281 the sum-bucket count would wrap int64 and blame the formula
+@pytest.mark.parametrize("argv", [("--n", "5000002"), ("--range", "5000000..5000002")])
+def test_total_checks_the_sum_ceiling_first(capsys, monkeypatch, argv):
     monkeypatch.setattr(enumeration, "np", None)  # the check comes before any array
+    monkeypatch.setattr(cli, "np", None)
     rc, out, err = run(capsys, "total", *argv)
     assert rc == 1 and out == ""
-    assert "n <= 4801281" in err
+    assert err.endswith(f"pair sums, over the ceiling of {enumeration.SUMS_CEILING}\n")
+
+
+def test_total_counts_past_the_int64_range(capsys):
+    # the smallest n whose total exceeds 2**63 - 1: formula and sum buckets agree
+    assert total_quads_formula(4801282) == 9223377647790567360 > 2**63 - 1
+    assert run(capsys, "total", "--n", "4801282") == (0, "9223377647790567360 9223377647790567360 OK\n", "")
 
 
 def test_rainbow_naive_checks_scan_ceiling(capsys, tmp_path):
@@ -386,6 +392,10 @@ FAILURES = {
     ("search", "--n", "14", "--k", "4", "--exhaustive"): (
         3, "", "11188907 canonical colorings exceed the budget of 1000000\n",
     ),
+    # a count too long for Python's int-to-str conversion, by its power of ten
+    ("search", "--n", "10000", "--k", "4", "--exhaustive"): (
+        3, "", "more than 10^5998 canonical colorings exceed the budget of 1000000\n",
+    ),
     ("search", "--n", "600", "--k", "4", "--local"): (
         1, "", "a local search at n=600 would scan 17865250 quads, over the ceiling of 10000000\n",
     ),
@@ -421,9 +431,7 @@ FAILURES = {
     ("sweep", "--k", "4", "--n-list", "", "--coloring", "mod", "--out", "s.csv"): (1, "", "empty n-list\n"),
     ("sweep", "--k", "4", "--n-list", "4,foo", "--coloring", "mod", "--out", "s.csv"): (1, "", "bad n-list '4,foo'\n"),
     ("total", "--range", "9..2"): (1, "", "bad range '9..2'\n"),
-    ("total", "--n", "4801282"): (
-        1, "", "n=4801282 is too large for the int64 sum-bucket count: need n <= 4801281\n",
-    ),
+    ("total", "--n", "5000002"): (1, "", "n=5000002 would add up 10000001 pair sums, over the ceiling of 10000000\n"),
     ("verify", "--suite", "lev", "--trials", "0"): (1, "", "--trials must be at least 1, got 0\n"),
     ("frobnicate",): (
         1, "", ROOT_USAGE + "sidonrainbow: error: argument command: invalid choice: 'frobnicate' "
@@ -442,7 +450,9 @@ def test_cli_failure_paths(capsys, monkeypatch, tmp_path, argv):
     (tmp_path / "cyc.jsonl").write_text(serialize_coloring(mod_coloring(8, 4, Domain.CYCLIC)) + "\n")
     (tmp_path / "bad.jsonl").write_text("{broken\n")
     files = set(tmp_path.iterdir())
+    start = time.perf_counter()
     assert run(capsys, *argv) == FAILURES[argv]
+    assert time.perf_counter() - start < 2  # refused at once, not after the work
     assert set(tmp_path.iterdir()) == files  # nothing written
 
 

@@ -2,7 +2,7 @@
 import itertools
 import random
 import tracemalloc
-from math import isqrt
+from math import comb, isqrt
 from types import SimpleNamespace
 
 import numpy as np
@@ -280,6 +280,15 @@ def test_cyclic_scan_size_counts_scanned_pairs():
         assert counting._cyclic_scan_size(n) == sum(tallies)
 
 
+def test_cyclic_scan_size_matches_residue_tally():
+    # residue r has (n - #{a : 2a = r mod n}) / 2 pairs with sum r mod n
+    for n in range(1, 2001):
+        doubles = [0] * n
+        for a in range(n):
+            doubles[2 * a % n] += 1
+        assert counting._cyclic_scan_size(n) == sum(comb((n - d) // 2, 2) for d in doubles)
+
+
 class Unread:
     """A stand-in coloring whose colors fail the test when read."""
 
@@ -291,7 +300,7 @@ class Unread:
         pytest.fail("colors read")
 
 
-def test_naive_scans_check_the_ceiling():
+def test_naive_scans_check_the_ceiling(monkeypatch):
     enumeration._check_scan(SCAN_CEILING, "a scan at the ceiling")
     with pytest.raises(ValueError):
         enumeration._check_scan(SCAN_CEILING + 1, "a scan over the ceiling")
@@ -302,6 +311,7 @@ def test_naive_scans_check_the_ceiling():
     with pytest.raises(ValueError, match=f"{total_quads_formula(flat)} quads.*{SCAN_CEILING}"):
         count_rainbow_naive(Unread(Domain.INTERVAL, flat))
     cyc = next(n for n in range(4, 10**4) if counting._cyclic_scan_size(n) > SCAN_CEILING)
+    monkeypatch.setattr(counting, "np", None)  # the check comes before any array
     with pytest.raises(ValueError, match=f"{counting._cyclic_scan_size(cyc)} quads.*{SCAN_CEILING}"):
         count_rainbow_cyclic_naive(Unread(Domain.CYCLIC, cyc))
 

@@ -122,11 +122,14 @@ def test_sums_route_takes_constant_memory():
     assert peak < 4 * 2**20  # one block of pair sums; 61 MiB as one array
 
 
-def test_sums_route_checks_int64_limit(monkeypatch):
-    limit = enumeration.SUMS_MAX_N
-    assert total_quads_formula(limit) <= 2**63 - 1 < total_quads_formula(limit + 1)
+def test_sums_route_checks_the_sum_ceiling(monkeypatch):
+    # exact past the int64 range: the blocks add up in a Python int
+    assert total_quads_formula(4801281) <= 2**63 - 1 < total_quads_formula(4801282)
+    # the largest single n, 2n - 3 pair sums at the ceiling
+    limit = (enumeration.SUMS_CEILING + 3) // 2
+    assert count_quads_by_sums(limit) == total_quads_formula(limit) == 10416663541666250000
     monkeypatch.setattr(enumeration, "np", None)  # the check comes before any array
-    with pytest.raises(ValueError, match=f"n={limit + 1} .*n <= {limit}"):
+    with pytest.raises(ValueError, match=f"^n={limit + 1} would add up {2 * limit - 1} pair sums"):
         count_quads_by_sums(limit + 1)
 
 

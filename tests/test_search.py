@@ -2,6 +2,7 @@
 import gc
 import itertools
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -40,6 +41,17 @@ def test_canonical_count_matches_direct_enumeration():
     for n in range(1, 8):
         for k in range(1, 6):
             assert canonical_coloring_count(n, k) == sum(1 for _ in brute_canonical(n, k))
+
+
+def test_canonical_count_matches_inclusion_exclusion():
+    # S(n, j) = sum_i (-1)^i C(j, i) (j - i)^n / j!, zero for j > n
+    for n in range(1, 301):
+        stirling = [
+            sum((-1) ** i * math.comb(j, i) * (j - i) ** n for i in range(j + 1)) // math.factorial(j)
+            for j in range(9)
+        ]
+        for k in range(1, 9):
+            assert canonical_coloring_count(n, k) == sum(stirling[1 : k + 1])
 
 
 @pytest.mark.parametrize(
@@ -127,7 +139,7 @@ def test_walk_node_invariants(k):
             )
             return True
 
-        search._walk(n, k, 10**6, enter)
+        search._walk(n, k, enter)
         assert nodes == sum(canonical_coloring_count(p, k) for p in range(1, n + 1)) + 1
 
 
