@@ -6,11 +6,10 @@ against them is indicative only. The two bounds that hold absolutely (the
 trivial total-count ceiling and the cyclic 3n^3/64 ceiling for four colors)
 carry no flag and may be asserted.
 
-Three distinct parity constants show up around these formulas and are easy to
-conflate, so they get separate names here:
-  theta_total    0 or 1/8, in the exact total count of Sidon 4-sets;
-  theta_modular  1/2 or 3/8, in |S(k)|;
-  theta_lb       1/3 or 1/4, in the lower-bound coefficient (2/3 of theta_modular).
+Three parity constants are easy to conflate: 0 or 1/8 in the exact total
+count of Sidon 4-sets (n even or odd, in total_quads_formula), 1/2 or 3/8 in
+|S(k)| (k even or odd, in modular_count_formula), and theta_lb, 1/3 or 1/4,
+two thirds of the latter, in the lower-bound coefficient.
 """
 from __future__ import annotations
 
@@ -23,14 +22,6 @@ from .enumeration import modular_count_formula, total_quads_formula
 
 FLAG_UPPER = "+O_k(n^2)"
 FLAG_LOWER = "-O_k(n^2)"
-
-
-def theta_total(n: int) -> Fraction:
-    return Fraction(0) if n % 2 == 0 else Fraction(1, 8)
-
-
-def theta_modular(k: int) -> Fraction:
-    return Fraction(1, 2) if k % 2 == 0 else Fraction(3, 8)
 
 
 def theta_lb(k: int) -> Fraction:

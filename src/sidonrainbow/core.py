@@ -48,14 +48,6 @@ class Coloring:
                 if not isinstance(c, int) or isinstance(c, bool) or not 1 <= c <= self.k:
                     raise ValueError(f"color out of range at index {idx}")
 
-    def color_of(self, x: int) -> int:
-        """Color of element x. Cyclic domain reduces x mod n into {1..n} first."""
-        if self.domain is Domain.CYCLIC:
-            x = (x - 1) % self.n + 1
-        elif not 1 <= x <= self.n:
-            raise ValueError(f"element {x} outside [1, {self.n}]")
-        return self.colors[x - 1]
-
     def classes(self) -> dict[int, list[int]]:
         """Color classes as sorted element lists, keyed by the colors that occur."""
         out: dict[int, list[int]] = {}
@@ -87,10 +79,6 @@ class SidonQuad:
     def elements(self) -> tuple[int, int, int, int]:
         return (self.x1, self.x2, self.x3, self.x4)
 
-    @property
-    def pair_sum(self) -> int:
-        return self.x1 + self.x4
-
 
 @dataclass(frozen=True, order=True)
 class ModularSidonQuad:
@@ -120,11 +108,6 @@ class ModularSidonQuad:
             raise ValueError(f"not in canonical pair order: {self}")
         if (a + b) % k != (c + d) % k:
             raise ValueError(f"{a}+{b} != {c}+{d} (mod {k})")
-
-    @property
-    def side_sum(self) -> int:
-        """Common pair sum as a residue in {1..modulus}."""
-        return (self.pair_a[0] + self.pair_a[1] - 1) % self.modulus + 1
 
 
 @dataclass(frozen=True)

@@ -109,13 +109,8 @@ def count_rainbow_naive(c: Coloring) -> ClassBreakdown:
     if c.domain is not Domain.INTERVAL:
         raise ValueError("count_rainbow_naive expects an interval coloring")
     _check_scan(total_quads_formula(c.n), f"a naive scan of n={c.n}")
-    tallies = _naive_tallies(c, cyclic=False)
-    return ClassBreakdown(
-        rainbow=tallies[4],
-        monochromatic=tallies[1],
-        two_colored=tallies[2],
-        three_colored=tallies[3],
-    )
+    _, mono, two, three, rainbow = _naive_tallies(c, cyclic=False)
+    return ClassBreakdown(rainbow, mono, two, three)
 
 
 # A block of rows holds at most this many int64 pair entries (8 MiB).
@@ -208,13 +203,6 @@ def _kronecker_histograms(x: np.ndarray, n: int, width: int) -> tuple[np.ndarray
     return q, d
 
 
-def _transform_histograms(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The same (Q, D) as _pair_histograms(x, n), in O(n log n) time: every
-    slot of (a + r)^2 is at most 4|x|, so slots as wide as 4|x| has digits
-    hold it."""
-    return _kronecker_histograms(x, n, len(str(4 * len(x))))
-
-
 # A class X takes the transform engine when |X|^2 > _CROSSOVER * n * W, for W
 # the digits of |X|: the pair histograms cost about |X|^2 and the transform
 # about n * W. Timed per class on a 2-vCPU x86 host (numpy 2.4, libmpdec
@@ -253,8 +241,11 @@ def _rainbow_from_histograms(c: Coloring, cyclic: bool) -> int:
     r_sq = q_sq = 0
     for cls in c.classes().values():
         x = np.array(cls, dtype=np.int64)
-        transform = len(x) ** 2 > _CROSSOVER * n * len(str(len(x)))
-        q, diffs = (_transform_histograms if transform else _pair_histograms)(x, n)
+        if len(x) ** 2 > _CROSSOVER * n * len(str(len(x))):
+            # every slot of (a + r)^2 is at most 4|x|: slots of its digit count hold it
+            q, diffs = _kronecker_histograms(x, n, len(str(4 * len(x))))
+        else:
+            q, diffs = _pair_histograms(x, n)
         d += diffs
         if cyclic:
             q = _fold(q, n)
@@ -340,10 +331,9 @@ def non_rainbow_lower_bound(c: Coloring) -> Fraction:
     """
     if c.domain is not Domain.INTERVAL:
         raise ValueError("non_rainbow_lower_bound expects an interval coloring")
-    scale = Fraction(1, 6)
     total = 0
     for cls in c.classes().values():
         for bi in range(len(cls)):
             for ai in range(bi + 1, len(cls)):
                 total += f_n_exact(c.n, cls[bi], cls[ai])
-    return scale * total
+    return Fraction(total, 6)

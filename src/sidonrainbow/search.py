@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,16 +34,11 @@ class BudgetExceededError(Exception):
     """The requested search would visit more states than allowed."""
 
 
-class SearchMethod(Enum):
-    EXHAUSTIVE = "exhaustive"
-    LOCAL = "local"
-
-
 @dataclass(frozen=True)
 class SearchResult:
     best_count: int
     best_coloring: Coloring
-    method: SearchMethod
+    method: str  # "exhaustive" or "local"
     restarts: int
     moves: int
     seed: int
@@ -56,7 +50,7 @@ def result_to_json(r: SearchResult) -> str:
     """One-line JSON export of a search result, witness coloring included."""
     return json.dumps(
         {
-            "method": r.method.value,
+            "method": r.method,
             "best_count": r.best_count,
             "restarts": r.restarts,
             "moves": r.moves,
@@ -89,16 +83,19 @@ def canonical_coloring_count(n: int, k: int) -> int:
     return sum(row[1:])
 
 
-def _check_budget(n: int, k: int, max_states: int) -> None:
+# The most canonical colorings, counted before pruning, that one search may cover:
+# n = 12 at k = 4 (700,075), which exhaustive_ar takes 0.1 s on a 2-vCPU x86 host.
+MAX_STATES = 1_000_000
+
+
+def _check_budget(n: int, k: int) -> None:
     states = canonical_coloring_count(n, k)
-    if states > max_states:
+    if states > MAX_STATES:
         try:
             count = str(states)
         except ValueError:  # more digits than Python converts to text
             count = f"more than 10^{(states.bit_length() - 1) * 3 // 10}"
-        raise BudgetExceededError(
-            f"{count} canonical colorings exceed the budget of {max_states}"
-        )
+        raise BudgetExceededError(f"{count} canonical colorings exceed the budget of {MAX_STATES}")
 
 
 def _walk(n: int, k: int, enter: Callable[[int, int, int, list[int], list[int]], bool]) -> None:
@@ -165,7 +162,7 @@ def _walk(n: int, k: int, enter: Callable[[int, int, int, list[int], list[int]],
         del rec  # rec refers to itself; break that cycle so the tables go now
 
 
-def exhaustive_ar(n: int, k: int, max_states: int = 1_000_000) -> SearchResult:
+def exhaustive_ar(n: int, k: int) -> SearchResult:
     """Exact maximum rainbow count over all k-colorings of [n].
 
     Branch and bound over the canonical colorings: a subtree is skipped when
@@ -176,35 +173,32 @@ def exhaustive_ar(n: int, k: int, max_states: int = 1_000_000) -> SearchResult:
     """
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
-    _check_budget(n, k, max_states)
-    best_count = -1
-    best_cols: tuple[int, ...] = (1,) * n
-    if k < 4:
-        # no quad can be rainbow, so the first canonical coloring is the first
-        # maximizer; the walk would only build its quad tables
-        best_count = 0
-    elif n >= k:
-        # the mod-k coloring is a canonical leaf, so from one below its count
+    # a canonical coloring of [n] uses at most n colors
+    m = min(k, n)
+    if m < 4:
+        # no quad can be rainbow, so the first canonical coloring, all ones, is
+        # the first maximizer; its naive recount is refused before it is built
+        _check_scan(total_quads_formula(n), f"a naive scan of n={n}")
+        best_count, best_cols = 0, (1,) * n
+    else:
+        _check_budget(n, m)
+        # the mod-m coloring is a canonical leaf, so from one below its count
         # the prune never skips the first maximizer
-        best_count = count_rainbow_naive(mod_coloring(n, k)).rainbow - 1
+        best_count = count_rainbow_naive(mod_coloring(n, m)).rainbow - 1
 
-    def enter(pos: int, count: int, alive: int, sizes: list[int], cols: list[int]) -> bool:
-        nonlocal best_count, best_cols
-        if count + alive <= best_count:
-            return False
-        if pos == n:
-            best_count = count
-            best_cols = tuple(cols)
-        return True
+        def enter(pos: int, count: int, alive: int, sizes: list[int], cols: list[int]) -> bool:
+            nonlocal best_count, best_cols
+            if count + alive <= best_count:
+                return False
+            if pos == n:
+                best_count = count
+                best_cols = tuple(cols)
+            return True
 
-    if k >= 4:
-        # a canonical coloring of [n] uses at most n colors
-        _walk(n, min(k, n), enter)
+        _walk(n, m, enter)
     witness = Coloring(Domain.INTERVAL, n, k, best_cols)
     return _verified(
-        SearchResult(
-            best_count, witness, SearchMethod.EXHAUSTIVE, 0, 0, 0, exact=True, stop="complete"
-        )
+        SearchResult(best_count, witness, "exhaustive", 0, 0, 0, exact=True, stop="complete")
     )
 
 
@@ -358,13 +352,13 @@ def local_search(
     stop = "move budget" if budget_left <= 0 else "local maximum"
     return _verified(
         SearchResult(
-            best_count, witness, SearchMethod.LOCAL, restarts, total_moves, seed,
+            best_count, witness, "local", restarts, total_moves, seed,
             exact=False, stop=stop,
         )
     )
 
 
-def fox_spot_check(n: int, max_states: int = 1_000_000) -> bool:
+def fox_spot_check(n: int) -> bool:
     """Do all 4-colorings with every class of size at least (n+1)/6 have a rainbow quad?
 
     Walks the canonical colorings, skipping subtrees that already hold a
@@ -373,7 +367,7 @@ def fox_spot_check(n: int, max_states: int = 1_000_000) -> bool:
     """
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
-    _check_budget(n, 4, max_states)
+    _check_budget(n, 4)
     threshold = -((n + 1) // -6)  # ceil((n+1)/6)
     ok = True
 

@@ -12,8 +12,6 @@ from sidonrainbow.bounds import (
     report_to_json,
     report_to_text,
     theta_lb,
-    theta_modular,
-    theta_total,
     ub_general_coefficient,
 )
 from sidonrainbow.counting import count_rainbow_fast, count_rainbow_naive
@@ -22,8 +20,6 @@ from sidonrainbow.enumeration import modular_count_formula, total_quads_formula
 
 
 def test_theta_parity():
-    assert theta_total(8) == 0 and theta_total(9) == Fraction(1, 8)
-    assert theta_modular(8) == Fraction(1, 2) and theta_modular(9) == Fraction(3, 8)
     assert theta_lb(8) == Fraction(1, 3) and theta_lb(9) == Fraction(1, 4)
 
 

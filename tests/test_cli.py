@@ -233,6 +233,8 @@ def test_search_exhaustive(capsys, tmp_path):
     assert obj["best_count"] == 2 and obj["exact"] is True
     rc, out, _ = run(capsys, "search", "--n", "5", "--k", "5", "--exhaustive")
     assert rc == 0 and out == "3\n"
+    # no 3-coloring has a rainbow quad, so none of the 581130734 canonical ones is walked
+    assert run(capsys, "search", "--n", "20", "--k", "3", "--exhaustive") == (0, "0\n", "")
 
 
 def test_search_local_deterministic(capsys):
@@ -392,6 +394,10 @@ FAILURES = {
     ("search", "--n", "14", "--k", "4", "--exhaustive"): (
         3, "", "11188907 canonical colorings exceed the budget of 1000000\n",
     ),
+    # below four colors the walk and its budget are skipped; the witness recount remains
+    ("search", "--n", "500", "--k", "3", "--exhaustive"): (
+        1, "", "a naive scan of n=500 would scan 10323125 quads, over the ceiling of 10000000\n",
+    ),
     # a count too long for Python's int-to-str conversion, by its power of ten
     ("search", "--n", "10000", "--k", "4", "--exhaustive"): (
         3, "", "more than 10^5998 canonical colorings exceed the budget of 1000000\n",
@@ -410,6 +416,9 @@ FAILURES = {
     ),
     ("rainbow", "--coloring", "e35.jsonl", "--method", "energy"): (
         1, "35\n", "energy route needs exactly 4 colors, got k=5\n",
+    ),
+    ("rainbow", "--coloring", "e4big.jsonl", "--method", "energy"): (
+        1, "", "an energy fold would take 59996100063 multiply-adds, over the ceiling of 4000000000\n",
     ),
     ("rainbow", "--coloring", "cyc.jsonl", "--method", "energy"): (
         1, "", "energy method applies to interval colorings only\n",
@@ -447,6 +456,7 @@ def test_cli_failure_paths(capsys, monkeypatch, tmp_path, argv):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal width
     e35 = (mod_coloring(12, 4), mod_coloring(10, 5))  # 35 rainbow quads, then k = 5
     (tmp_path / "e35.jsonl").write_text("".join(serialize_coloring(c) + "\n" for c in e35))
+    (tmp_path / "e4big.jsonl").write_text(serialize_coloring(mod_coloring(10**5, 4)) + "\n")
     (tmp_path / "cyc.jsonl").write_text(serialize_coloring(mod_coloring(8, 4, Domain.CYCLIC)) + "\n")
     (tmp_path / "bad.jsonl").write_text("{broken\n")
     files = set(tmp_path.iterdir())

@@ -151,6 +151,16 @@ def test_energy_int64_headroom():
         additive_energy([ten] * 22)
 
 
+def test_energy_checks_the_fold_ceiling(monkeypatch):
+    # spans 10, 10 (by its ends, not its size) and 3: 10 * 10, then the 19-long array times 3
+    sets = [IntSet(range(10)), IntSet([0, 9]), IntSet([-1, 1])]
+    monkeypatch.setattr(repfn, "ENERGY_CEILING", 157)
+    assert additive_energy(sets) == _fold_energy_slow(sets)
+    monkeypatch.setattr(repfn, "ENERGY_CEILING", 156)
+    with pytest.raises(ValueError, match="^an energy fold would take 157 multiply-adds, over the ceiling of 156$"):
+        additive_energy(sets)
+
+
 def test_two_interval_closed_form_spots():
     assert closed_rep_two_intervals(2, 5, 0) == 5
     assert closed_rep_two_intervals(2, 5, 3) == 5

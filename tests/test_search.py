@@ -16,7 +16,6 @@ from sidonrainbow.counting import count_rainbow_naive
 from sidonrainbow.enumeration import SCAN_CEILING, enumerate_quads, total_quads_formula
 from sidonrainbow.search import (
     BudgetExceededError,
-    SearchMethod,
     canonical_coloring_count,
     delta_recolor,
     exhaustive_ar,
@@ -61,27 +60,56 @@ def test_exhaustive_spots(n, k, expected):
     r = exhaustive_ar(n, k)
     assert r.best_count == expected
     assert r.exact
-    assert r.method is SearchMethod.EXHAUSTIVE
+    assert r.method == "exhaustive"
     assert count_rainbow_naive(r.best_coloring).rainbow == expected
 
 
-def test_exhaustive_budget():
-    with pytest.raises(BudgetExceededError):
-        exhaustive_ar(9, 4, max_states=100)
+def test_exhaustive_budget(monkeypatch):
+    monkeypatch.setattr(search, "MAX_STATES", 100)
+    with pytest.raises(BudgetExceededError, match="^11051 canonical colorings exceed the budget of 100$"):
+        exhaustive_ar(9, 4)
 
 
 def test_exhaustive_below_four_colors_skips_the_walk(monkeypatch):
-    # no quad can be rainbow, so no quad table is built; the budget still holds
+    # no quad can be rainbow, so neither the budget nor a quad table is needed
     def walk(*args):
         raise AssertionError("walked")
 
     monkeypatch.setattr(search, "_walk", walk)
-    for k in (1, 2, 3):
-        r = exhaustive_ar(12, k)
-        assert (r.best_count, r.best_coloring.colors) == (0, (1,) * 12)
+    monkeypatch.setattr(search, "MAX_STATES", 0)
+    for n, k in ((12, 1), (12, 2), (12, 3), (3, 4), (3, 10**5)):
+        r = exhaustive_ar(n, k)
+        assert (r.best_count, r.best_coloring.colors) == (0, (1,) * n)
     assert exhaustive_ar(200, 1).best_count == 0
-    with pytest.raises(BudgetExceededError):
-        exhaustive_ar(30, 2)
+    assert exhaustive_ar(30, 2).best_count == 0
+
+
+def test_exhaustive_below_four_colors_refuses_the_recount_first():
+    # the all-ones witness of [10**6] would take 8 MiB before its naive recount is refused
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^a naive scan of n=1000000 would scan"):
+            exhaustive_ar(10**6, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+# (n, k) -> (count, witness) with k > n: every quad of [n] is rainbow under
+# the all-distinct coloring, the first maximizer
+MANY_COLORS = {
+    (5, 6): (3, (1, 2, 3, 4, 5)),
+    (7, 9): (13, (1, 2, 3, 4, 5, 6, 7)),
+    (8, 12): (22, (1, 2, 3, 4, 5, 6, 7, 8)),
+}
+
+
+@pytest.mark.parametrize("n, k", MANY_COLORS)
+def test_exhaustive_with_more_colors_than_elements(n, k):
+    r = exhaustive_ar(n, k)
+    assert (r.best_count, r.best_coloring.colors) == MANY_COLORS[n, k]
+    assert r.best_count == total_quads_formula(n) and r.best_coloring.k == k
 
 
 def test_exhaustive_many_colors_costs_what_n_colors_cost():
@@ -295,7 +323,7 @@ def test_local_search_deterministic():
     a = local_search(30, 4, seed=5, restarts=3, max_moves=200)
     b = local_search(30, 4, seed=5, restarts=3, max_moves=200)
     assert a == b
-    assert a.method is SearchMethod.LOCAL
+    assert a.method == "local"
     assert not a.exact
 
 
@@ -375,6 +403,7 @@ def test_fox_small(n):
     assert fox_spot_check(n) is (n not in (5, 11))
 
 
-def test_fox_budget():
-    with pytest.raises(BudgetExceededError):
-        fox_spot_check(12, max_states=10)
+def test_fox_budget(monkeypatch):
+    monkeypatch.setattr(search, "MAX_STATES", 10)
+    with pytest.raises(BudgetExceededError, match="^700075 canonical colorings exceed the budget of 10$"):
+        fox_spot_check(12)
