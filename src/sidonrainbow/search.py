@@ -8,7 +8,9 @@ the partial rainbow count travels down the tree with the number of quads
 still able to turn rainbow: those not yet scored whose colored elements show
 distinct colors. So a caller's hook can prune a subtree from its partial
 count, that bound and the class sizes; the exhaustive maximum prunes on
-count plus the bound, from a best count seeded by the mod-k coloring.
+count plus the bound, from a best count seeded by the mod-k coloring. The
+walker keeps its quad sets as bitsets, one bit per quad of a Python int, so
+a node costs a few big-int operations, not a pass over its quads.
 
 One recolor-gain table serves hill climbing and delta_recolor. An element's
 row holds T, the quads through the element whose other three elements show
@@ -84,7 +86,7 @@ def canonical_coloring_count(n: int, k: int) -> int:
 
 
 # The most canonical colorings, counted before pruning, that one search may cover:
-# n = 12 at k = 4 (700,075), which exhaustive_ar takes 0.1 s on a 2-vCPU x86 host.
+# n = 12 at k = 4 (700,075), which exhaustive_ar takes 0.06 s on a 2-vCPU x86 host.
 MAX_STATES = 1_000_000
 
 
@@ -105,59 +107,51 @@ def _walk(n: int, k: int, enter: Callable[[int, int, int, list[int], list[int]],
     color, and the running rainbow count is passed down the tree. So is alive,
     the quads not yet scored whose colored elements still show distinct
     colors: only those can still turn rainbow. At every node, elements
-    0..pos-1 colored, enter(pos, count, alive, sizes, cols) is called; a False
-    return skips the node's subtree. cols[i] is element i's color (0 while
-    unassigned) and sizes[c] is the size of color class c. Callers check the
-    state budget first.
+    0..pos-1 colored, enter(pos, count, alive, sizes, cols) is called, alive
+    given as a number of quads; a False return skips the node's subtree.
+    cols[i] is element i's color (0 while unassigned) and sizes[c] is the
+    size of color class c. Callers check the state budget first.
+
+    Quad sets are bitsets, one bit per quad of a Python int: inq[e] holds the
+    quads through element e, closing[e] those whose largest element is e, and
+    shows[c] those with an element colored c so far. Coloring pos with c
+    scores the live closing quads outside shows[c] and kills the live quads
+    through pos inside it, a few big-int operations a node.
     """
-    # Colors go in index order, so the colored elements of a quad at the node
-    # of element e are the quad's elements below e. closing[e] lists them for
-    # the quads whose largest element is e; through[e] lists them, as a pair,
-    # for the quads with e second or third largest, where (d, e) stands for
-    # the one element d below e, since e is uncolored at its own node.
-    closing: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    through: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    inq = [0] * n
+    closing = [0] * n
+    bit = 1
     for q in enumerate_quads(n):
         # a row lists the quad's elements largest first
-        for a, b, c, d in (q - 1).tolist():
-            closing[a].append((b, c, d))
-            through[b].append((c, d))
-            through[c].append((d, c))
-    total = sum(map(len, closing))
-    # masks[i] is a single 1 in the w-bit field of element i's color (0 while
-    # unassigned). A quad's mask, the OR of its colored elements' masks, has
-    # a 1 in the field of each color it shows, so summing quad masks counts
-    # the quads showing each color, field by field; no field overflows, as
-    # fewer than 2**w quads are summed.
-    w = max(1, total.bit_length())
-    field = (1 << w) - 1
-    masks = [0] * n
+        for row in (q - 1).tolist():
+            closing[row[0]] |= bit
+            for e in row:
+                inq[e] |= bit
+            bit <<= 1
+    shows = [0] * (k + 1)
     cols = [0] * n
     sizes = [0] * (k + 1)
 
     def rec(pos: int, used: int, count: int, alive: int):
-        if not enter(pos, count, alive, sizes, cols) or pos == n:
+        if not enter(pos, count, alive.bit_count(), sizes, cols) or pos == n:
             return
-        # the live quads that close here, and those through pos that stay open
-        m3s = [masks[a] | masks[b] | masks[d] for a, b, d in closing[pos]]
-        m3s = [m for m in m3s if m.bit_count() == 3]
-        m2s = [masks[a] | masks[b] for a, b in through[pos] if masks[a] != masks[b]]
-        by_color3, by_color2 = sum(m3s), sum(m2s)
-        alive -= len(m3s)
+        # the live quads that close here are scored at this node, not passed down
+        close = alive & closing[pos]
+        alive ^= close
+        through = inq[pos]
         for c in range(1, min(used + 1, k) + 1):
-            shift = w * c
-            masks[pos] = 1 << shift
+            shown = shows[c]
+            shows[c] = shown | through
             cols[pos] = c
             sizes[c] += 1
             # those showing c already: they fail to close rainbow or die open
-            lost3 = by_color3 >> shift & field
-            lost2 = by_color2 >> shift & field
-            rec(pos + 1, max(used, c), count + len(m3s) - lost3, alive - lost2)
+            rec(pos + 1, max(used, c), count + (close & ~shown).bit_count(), alive & ~(through & shown))
             sizes[c] -= 1
-        masks[pos] = cols[pos] = 0
+            shows[c] = shown
+        cols[pos] = 0
 
     try:
-        rec(0, 0, 0, total)
+        rec(0, 0, 0, bit - 1)
     finally:
         del rec  # rec refers to itself; break that cycle so the tables go now
 
@@ -369,13 +363,15 @@ def fox_spot_check(n: int) -> bool:
         raise ValueError(f"need n >= 4, got {n}")
     _check_budget(n, 4)
     threshold = -((n + 1) // -6)  # ceil((n+1)/6)
+    # the elements the classes still lack: threshold less min(size, threshold) each
+    caps = (0,) + (threshold,) * 4
     ok = True
 
     def enter(pos: int, count: int, alive: int, sizes: list[int], cols: list[int]) -> bool:
         nonlocal ok
         if not ok or count:
             return False
-        if sum(max(0, threshold - s) for s in sizes[1:]) > n - pos:
+        if 4 * threshold - sum(map(min, sizes, caps)) > n - pos:
             return False
         if pos == n:
             ok = False  # a feasible coloring without a rainbow quad

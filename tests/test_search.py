@@ -146,29 +146,75 @@ def test_exhaustive_witness_is_first_maximizer():
         assert exhaustive_ar(n, k).best_coloring.colors == first
 
 
+def walk_checked(n, k, keep):
+    # walks [n] with keep(pos) as the prune and checks every node entered: count
+    # is the rainbow quads already closed, and alive the open quads whose colored
+    # elements still show distinct colors; returns the number of nodes entered
+    quads = [tuple(row) for q in enumerate_quads(n) for row in (q - 1).tolist()]
+    nodes = 0
+
+    def enter(pos, count, alive, sizes, cols):
+        nonlocal nodes
+        nodes += 1
+        assert cols[pos:] == [0] * (n - pos) and 0 not in cols[:pos]
+        assert sizes[1:] == [cols.count(c) for c in range(1, k + 1)]
+        shown = [{cols[e] for e in q if e < pos} for q in quads]
+        closed = [len(s) for q, s in zip(quads, shown) if q[0] < pos]
+        assert count == closed.count(4)
+        assert alive == sum(
+            len(s) == sum(e < pos for e in q) for q, s in zip(quads, shown) if q[0] >= pos
+        )
+        return keep(pos)
+
+    search._walk(n, k, enter)
+    return nodes
+
+
 @pytest.mark.parametrize("k", [4, 5])
 def test_walk_node_invariants(k):
-    # at every node of the full tree: count is the rainbow quads already closed,
-    # and alive the open quads whose colored elements still show distinct colors
     for n in range(1, 10):
-        quads = [tuple(row) for q in enumerate_quads(n) for row in (q - 1).tolist()]
-        nodes = 0
+        nodes = walk_checked(n, k, lambda pos: True)
+        assert nodes == sum(canonical_coloring_count(p, k) for p in range(1, n + 1)) + 1
 
-        def enter(pos, count, alive, sizes, cols):
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_walk_node_invariants_after_pruned_subtrees(k):
+    # every other node entered at odd pos skips its subtree, so its siblings and
+    # their subtrees see the state the walker restored after a skip
+    for n in range(4, 10):
+        entered = [0] * (n + 1)
+
+        def keep(pos):
+            entered[pos] += 1
+            return pos % 2 == 0 or entered[pos] % 2 == 1
+
+        full = sum(canonical_coloring_count(p, k) for p in range(1, n + 1)) + 1
+        assert walk_checked(n, k, keep) < full
+        assert all(entered[1 : n + 1])
+
+
+@pytest.mark.parametrize(
+    "n, exhaustive_nodes, fox_nodes", [(10, 4671, 3931), (11, 16484, 5601), (12, 45864, 3537)]
+)
+def test_walk_enters_pinned_nodes(monkeypatch, n, exhaustive_nodes, fox_nodes):
+    # the prune alone decides which nodes are entered; these counts pin it
+    walk = search._walk
+    nodes = 0
+
+    def counted_walk(n, k, enter):
+        def counted(*node):
             nonlocal nodes
             nodes += 1
-            assert cols[pos:] == [0] * (n - pos) and 0 not in cols[:pos]
-            assert sizes[1:] == [cols.count(c) for c in range(1, k + 1)]
-            shown = [{cols[e] for e in q if e < pos} for q in quads]
-            closed = [len(s) for q, s in zip(quads, shown) if q[0] < pos]
-            assert count == closed.count(4)
-            assert alive == sum(
-                len(s) == sum(e < pos for e in q) for q, s in zip(quads, shown) if q[0] >= pos
-            )
-            return True
+            return enter(*node)
 
-        search._walk(n, k, enter)
-        assert nodes == sum(canonical_coloring_count(p, k) for p in range(1, n + 1)) + 1
+        walk(n, k, counted)
+
+    monkeypatch.setattr(search, "_walk", counted_walk)
+    exhaustive_ar(n, 4)
+    assert nodes == exhaustive_nodes
+    nodes = 0
+    fox_spot_check(n)
+    assert nodes == fox_nodes
 
 
 def test_walk_leaves_no_cyclic_garbage():
@@ -401,6 +447,19 @@ def test_result_json():
 @pytest.mark.parametrize("n", range(4, 12))
 def test_fox_small(n):
     assert fox_spot_check(n) is (n not in (5, 11))
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_fox_matches_brute_force(n):
+    # every canonical 4-coloring whose classes all reach ceil((n + 1)/6), scored by the naive scan
+    threshold = -((n + 1) // -6)
+    balanced = [
+        cols for cols in brute_canonical(n, 4) if min(map(cols.count, range(1, 5))) >= threshold
+    ]
+    expected = all(
+        count_rainbow_naive(Coloring(Domain.INTERVAL, n, 4, cols)).rainbow for cols in balanced
+    )
+    assert fox_spot_check(n) is expected
 
 
 def test_fox_budget(monkeypatch):
