@@ -10,7 +10,9 @@ distinct colors. So a caller's hook can prune a subtree from its partial
 count, that bound and the class sizes; the exhaustive maximum prunes on
 count plus the bound, from a best count seeded by the mod-k coloring. The
 walker keeps its quad sets as bitsets, one bit per quad of a Python int, so
-a node costs a few big-int operations, not a pass over its quads.
+a node costs a few big-int operations, not a pass over its quads, and it asks
+the hook about each child in the parent's color loop, so a child the hook
+refuses costs no call frame.
 
 One recolor-gain table serves hill climbing and delta_recolor. An element's
 row holds T, the quads through the element whose other three elements show
@@ -18,6 +20,10 @@ three distinct colors, and C[col], how many of those show col, so the element
 wearing col makes T - C[col] of its quads rainbow. A climb rebuilds the table
 from integer convolutions, O(k n^2), after every move, rather than updating
 rows along the O(n^2) quads through the recolored element.
+
+Every reported count is recounted from its witness by
+counting.count_rainbow_fast, which shares no code with the walker's bitsets
+or the gain table.
 """
 from __future__ import annotations
 
@@ -28,7 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import Coloring, Domain, coloring_dict, mod_coloring, random_coloring
-from .counting import count_rainbow_naive
+from .counting import count_rainbow_fast, count_rainbow_naive
 from .enumeration import _check_scan, enumerate_quads, total_quads_formula
 
 
@@ -66,11 +72,12 @@ def result_to_json(r: SearchResult) -> str:
 
 
 def _verified(result: SearchResult) -> SearchResult:
-    # the emitted count must survive a full naive recount of the witness
-    actual = count_rainbow_naive(result.best_coloring).rainbow
+    # the emitted count must survive a recount of the witness by the fast
+    # counter, which shares nothing with the walker's bitsets or the gain table
+    actual = count_rainbow_fast(result.best_coloring)
     if actual != result.best_count:
         raise AssertionError(
-            f"witness recount mismatch: reported {result.best_count}, naive {actual}"
+            f"witness recount mismatch: reported {result.best_count}, fast {actual}"
         )
     return result
 
@@ -86,7 +93,7 @@ def canonical_coloring_count(n: int, k: int) -> int:
 
 
 # The most canonical colorings, counted before pruning, that one search may cover:
-# n = 12 at k = 4 (700,075), which exhaustive_ar takes 0.06 s on a 2-vCPU x86 host.
+# n = 12 at k = 4 (700,075), which exhaustive_ar takes 0.025 s on a 2-vCPU x86 host.
 MAX_STATES = 1_000_000
 
 
@@ -107,10 +114,13 @@ def _walk(n: int, k: int, enter: Callable[[int, int, int, list[int], list[int]],
     color, and the running rainbow count is passed down the tree. So is alive,
     the quads not yet scored whose colored elements still show distinct
     colors: only those can still turn rainbow. At every node, elements
-    0..pos-1 colored, enter(pos, count, alive, sizes, cols) is called, alive
-    given as a number of quads; a False return skips the node's subtree.
-    cols[i] is element i's color (0 while unassigned) and sizes[c] is the
-    size of color class c. Callers check the state budget first.
+    0..pos-1 colored, enter(pos, count, alive, sizes, cols) is called once,
+    alive given as a number of quads; a False return skips the node's
+    subtree. cols[i] is element i's color (0 while unassigned) and sizes[c]
+    is the size of color class c. The root is asked before the walk and every
+    other node in its parent's color loop, so only a node admitted with
+    elements left to color gets a frame of rec. Callers check the state
+    budget first.
 
     Quad sets are bitsets, one bit per quad of a Python int: inq[e] holds the
     quads through element e, closing[e] those whose largest element is e, and
@@ -133,25 +143,34 @@ def _walk(n: int, k: int, enter: Callable[[int, int, int, list[int], list[int]],
     sizes = [0] * (k + 1)
 
     def rec(pos: int, used: int, count: int, alive: int):
-        if not enter(pos, count, alive.bit_count(), sizes, cols) or pos == n:
-            return
-        # the live quads that close here are scored at this node, not passed down
+        # an admitted node with pos < n; the live quads that close here are
+        # scored at this node, not passed down
         close = alive & closing[pos]
         alive ^= close
+        scored = count + close.bit_count()
         through = inq[pos]
+        reach = alive & through  # the live open quads through pos
+        live = alive.bit_count()
+        nxt = pos + 1
+        inner = nxt < n
         for c in range(1, min(used + 1, k) + 1):
             shown = shows[c]
-            shows[c] = shown | through
             cols[pos] = c
             sizes[c] += 1
             # those showing c already: they fail to close rainbow or die open
-            rec(pos + 1, max(used, c), count + (close & ~shown).bit_count(), alive & ~(through & shown))
+            hit = reach & shown
+            child = scored - (close & shown).bit_count()
+            if enter(nxt, child, live - hit.bit_count(), sizes, cols) and inner:
+                shows[c] = shown | through
+                rec(nxt, max(used, c), child, alive ^ hit)
+                shows[c] = shown
             sizes[c] -= 1
-            shows[c] = shown
         cols[pos] = 0
 
     try:
-        rec(0, 0, 0, bit - 1)
+        everything = bit - 1
+        if enter(0, 0, everything.bit_count(), sizes, cols) and n:
+            rec(0, 0, 0, everything)
     finally:
         del rec  # rec refers to itself; break that cycle so the tables go now
 
@@ -171,7 +190,8 @@ def exhaustive_ar(n: int, k: int) -> SearchResult:
     m = min(k, n)
     if m < 4:
         # no quad can be rainbow, so the first canonical coloring, all ones, is
-        # the first maximizer; its naive recount is refused before it is built
+        # the first maximizer; the scan ceiling comes first to keep a witness
+        # of [10**6] from being built
         _check_scan(total_quads_formula(n), f"a naive scan of n={n}")
         best_count, best_cols = 0, (1,) * n
     else:
@@ -325,7 +345,7 @@ def local_search(
         raise ValueError("need at least one start")
     if max_moves < 0:
         raise ValueError("move budget must be nonnegative")
-    # the witness recount in _verified is a full naive scan
+    # the scan ceiling bounds the gain-table work per move, O(k n^2)
     _check_scan(total_quads_formula(n), f"a local search at n={n}")
     best_count, best_cols, total_moves = -1, None, 0
     budget_left = max_moves
@@ -363,15 +383,19 @@ def fox_spot_check(n: int) -> bool:
         raise ValueError(f"need n >= 4, got {n}")
     _check_budget(n, 4)
     threshold = -((n + 1) // -6)  # ceil((n+1)/6)
-    # the elements the classes still lack: threshold less min(size, threshold) each
-    caps = (0,) + (threshold,) * 4
+    # lacking[pos]: the elements the classes still lack at the node entered at
+    # pos, threshold less min(size, threshold) each; element pos - 1 lowers it
+    # by one while its class is still short, and the walk is depth first
+    lacking = [4 * threshold] * (n + 1)
     ok = True
 
     def enter(pos: int, count: int, alive: int, sizes: list[int], cols: list[int]) -> bool:
         nonlocal ok
         if not ok or count:
             return False
-        if 4 * threshold - sum(map(min, sizes, caps)) > n - pos:
+        if pos:
+            lacking[pos] = lacking[pos - 1] - (sizes[cols[pos - 1]] <= threshold)
+        if lacking[pos] > n - pos:
             return False
         if pos == n:
             ok = False  # a feasible coloring without a rainbow quad

@@ -394,7 +394,8 @@ FAILURES = {
     ("search", "--n", "14", "--k", "4", "--exhaustive"): (
         3, "", "11188907 canonical colorings exceed the budget of 1000000\n",
     ),
-    # below four colors the walk and its budget are skipped; the witness recount remains
+    # below four colors the walk and its budget are skipped; the scan ceiling still
+    # refuses n > 494 before the witness is built
     ("search", "--n", "500", "--k", "3", "--exhaustive"): (
         1, "", "a naive scan of n=500 would scan 10323125 quads, over the ceiling of 10000000\n",
     ),

@@ -85,7 +85,7 @@ def test_exhaustive_below_four_colors_skips_the_walk(monkeypatch):
 
 
 def test_exhaustive_below_four_colors_refuses_the_recount_first():
-    # the all-ones witness of [10**6] would take 8 MiB before its naive recount is refused
+    # the all-ones witness of [10**6] would take 8 MiB; the scan ceiling refuses n first
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="^a naive scan of n=1000000 would scan"):
@@ -194,7 +194,16 @@ def test_walk_node_invariants_after_pruned_subtrees(k):
 
 
 @pytest.mark.parametrize(
-    "n, exhaustive_nodes, fox_nodes", [(10, 4671, 3931), (11, 16484, 5601), (12, 45864, 3537)]
+    "n, exhaustive_nodes, fox_nodes",
+    [
+        (6, 43, 1),
+        (7, 158, 1),
+        (8, 438, 183),
+        (9, 1620, 971),
+        (10, 4671, 3931),
+        (11, 16484, 5601),
+        (12, 45864, 3537),
+    ],
 )
 def test_walk_enters_pinned_nodes(monkeypatch, n, exhaustive_nodes, fox_nodes):
     # the prune alone decides which nodes are entered; these counts pin it
@@ -215,6 +224,21 @@ def test_walk_enters_pinned_nodes(monkeypatch, n, exhaustive_nodes, fox_nodes):
     nodes = 0
     fox_spot_check(n)
     assert nodes == fox_nodes
+
+
+@pytest.mark.parametrize(
+    "run, reported",
+    [(lambda: exhaustive_ar(8, 4), 10), (lambda: local_search(20, 4, 0, 2, 3), 165)],
+    ids=["exhaustive", "local"],
+)
+def test_witness_recount_catches_a_wrong_count(monkeypatch, run, reported):
+    # a fast counter one above the truth must make each search refuse its own result
+    fast = search.count_rainbow_fast
+    monkeypatch.setattr(search, "count_rainbow_fast", lambda c: fast(c) + 1)
+    with pytest.raises(
+        AssertionError, match=f"^witness recount mismatch: reported {reported}, fast {reported + 1}$"
+    ):
+        run()
 
 
 def test_walk_leaves_no_cyclic_garbage():
@@ -354,7 +378,7 @@ CLIMB_200 = (
 
 
 def test_local_search_memory():
-    # one gain table at a time, freed before the naive witness recount
+    # one gain table at a time, freed before the witness recount by the fast counter
     local_search(60, 8, 511025150, 4, 6)  # first calls may fill lazy caches
     tracemalloc.start()
     try:
