@@ -48,13 +48,6 @@ class Coloring:
                 if not isinstance(c, int) or isinstance(c, bool) or not 1 <= c <= self.k:
                     raise ValueError(f"color out of range at index {idx}")
 
-    def classes(self) -> dict[int, list[int]]:
-        """Color classes as sorted element lists, keyed by the colors that occur."""
-        out: dict[int, list[int]] = {}
-        for x, c in enumerate(self.colors, start=1):
-            out.setdefault(c, []).append(x)
-        return out
-
 
 @dataclass(frozen=True, order=True)
 class SidonQuad:

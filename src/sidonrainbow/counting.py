@@ -7,13 +7,11 @@ Three independent interval-domain counters are kept deliberately separate:
                         colors of each two of its pairs on p x p matrices;
   count_rainbow_fast    inclusion-exclusion over ordered color 4-tuples,
                         from a pair-sum and a pair-difference histogram per
-                        color class; each class picks one of two exact
-                        engines by its size: pairs counted in blocks of
-                        about sqrt(8n) rows, about |X|^2 / 2 of them
-                        (O(|X|^2) time), for small classes, two exact
-                        squarings of decimal integers (O(n log n)) for
-                        large ones, both in O(n) memory (about 60 bytes per
-                        n for a transform class);
+                        color class, by one of two exact engines per class
+                        size: about |X|^2 / 2 pairs in blocks of sqrt(8n)
+                        rows (O(|X|^2) time) for small classes, two decimal
+                        squarings (O(n log n)) for large ones; O(n) memory,
+                        79 bytes per n for a random 4-coloring at n = 10^5;
   rainbow_via_energy    for k = 4, three 4-fold additive energies with the
                         second side negated.
 
@@ -113,12 +111,26 @@ def count_rainbow_naive(c: Coloring) -> ClassBreakdown:
     return ClassBreakdown(rainbow, mono, two, three)
 
 
+def _classes(c: Coloring) -> dict[int, np.ndarray]:
+    """Each occurring color's class, a sorted int64 array; nothing is sized by k."""
+    colors = np.array(c.colors, dtype=object if c.k >> 63 else np.int64)
+    order = np.argsort(colors, kind="stable")
+    colors = colors[order]
+    cuts = np.flatnonzero(colors[1:] != colors[:-1]) + 1
+    return dict(zip(colors[np.append(0, cuts)].tolist(), np.split(order + 1, cuts)))
+
+
 # A block of rows holds at most this many int64 pair entries (8 MiB).
 _BLOCK = 1 << 20
 # Each dot product below, from either engine's histograms, sums v**2 over
 # v <= n with sum(v) <= n**2, so it is at most n**3; this is the largest n
 # with n**3 <= 2**63 - 1.
 _MAX_N = 2_097_151
+
+
+def _check_headroom(n: int) -> None:
+    if n > _MAX_N:
+        raise ValueError(f"n={n} is too large for int64 histogram sums: need n <= {_MAX_N}")
 
 
 def _pair_histograms(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -161,9 +173,10 @@ def _square_slots(digits: np.ndarray, slots: int) -> np.ndarray:
     """
     width = digits.shape[1]
     a = Decimal(str(digits, "ascii"))
+    a = _EXACT.multiply(a, a)  # the operand goes once its square is made
     # a carry past the top slot is cut off here, so the callers' sum checks
     # see it too; a square that fits is not copied
-    text = str(_EXACT.multiply(a, a)).encode()[-slots * width :]
+    text = str(a).encode()[-slots * width :]
     del a
     full, top = divmod(len(text), width)
     v = np.zeros(slots, dtype=np.int64)
@@ -187,20 +200,23 @@ def _kronecker_histograms(x: np.ndarray, n: int, width: int) -> tuple[np.ndarray
 
     A slot that overflowed would carry into the next one and lower the total,
     so Q must sum to |x|^2 and (a + r)^2 to 4|x|^2, or OverflowError is raised.
+    Q, no slot of it above |x|, waits out the second squaring in the narrowest dtype.
     """
     slots = 2 * n + 1
     digits = np.full((n + 1, width), ord("0"), dtype=np.uint8)
     digits[n - x, -1] = ord("1")  # a, slot n first
     q = _square_slots(digits, slots)
+    m = len(x)
+    total, q = int(q.sum()), q.astype(np.min_scalar_type(m))
     digits[x, -1] += 1  # a + r, the same in either slot order
     d = _square_slots(digits, slots)
-    m = len(x)
-    if int(q.sum()) != m**2 or int(d.sum()) != 4 * m**2:
+    del digits
+    if total != m**2 or int(d.sum()) != 4 * m**2:
         raise OverflowError(f"histogram slots of {width} digits overflowed for a class of {m}")
     d -= q
     d -= q[::-1]
     d >>= 1
-    return q, d
+    return q.astype(np.int64), d
 
 
 # A class X takes the transform engine when |X|^2 > _CROSSOVER * n * W, for W
@@ -229,37 +245,30 @@ def _rainbow_from_histograms(c: Coloring, cyclic: bool) -> int:
     n = c.n
     if c.k < 4:
         return 0
-    if n > _MAX_N:
-        raise ValueError(f"n={n} is too large for int64 histogram sums: need n <= {_MAX_N}")
-    width = 2 * n + 1
-    l = np.arange(width)
-    s = np.full(n, n) if cyclic else np.minimum(l - 1, width - l).clip(0)
-    del l
-    d = np.zeros(width, dtype=np.int64)
-    r = np.empty(len(s), dtype=np.int64)
-    below = None if cyclic else np.empty(width, dtype=np.int32)
+    _check_headroom(n)
+    s = np.full(n, n) if cyclic else (n - np.abs(np.arange(-n - 1, n))).clip(0)
+    d = np.zeros(2 * n + 1, dtype=np.int64)
     r_sq = q_sq = 0
-    for cls in c.classes().values():
-        x = np.array(cls, dtype=np.int64)
+    for x in _classes(c).values():
         if len(x) ** 2 > _CROSSOVER * n * len(str(len(x))):
             # every slot of (a + r)^2 is at most 4|x|: slots of its digit count hold it
             q, diffs = _kronecker_histograms(x, n, len(str(4 * len(x))))
         else:
             q, diffs = _pair_histograms(x, n)
         d += diffs
+        del diffs
         if cyclic:
-            q = _fold(q, n)
-            np.subtract(len(x), q, out=r)
+            q, w = _fold(q, n), len(x)
         else:
-            # below[l] = #{x < l}, so W_i(l) = below[l] - below[l - n]
-            below.fill(0)
-            below[x + 1] = 1
-            np.cumsum(below, out=below)
-            np.subtract(below, q, out=r)
-            r[n:] -= below[: n + 1]
+            # W_i(l) = below[l] - below[l - n] for below[l] = #{x < l}, 0 at l = 0
+            w = np.bincount(x + 1, minlength=2 * n + 1)
+            np.cumsum(w, out=w)
+            w[n + 1 :] -= w[1 : n + 1]
         s -= q
-        r_sq += int(r @ r)
         q_sq += int(q @ q)
+        np.subtract(w, q, out=q)  # q, fresh from its engine, turns into R_i = W_i - Q_i
+        r_sq += int(q @ q)
+        del q, w  # neither runs beside the next class's engine
     d = _fold(d, n) if cyclic else d
     return (int(s @ s) - 4 * r_sq + 2 * (int(d @ d) - q_sq)) // 8
 
@@ -283,8 +292,8 @@ def rainbow_via_energy(c: Coloring) -> int:
         raise ValueError("rainbow_via_energy expects an interval coloring")
     if c.k != 4:
         raise ValueError(f"energy route needs exactly 4 colors, got k={c.k}")
-    classes = c.classes()
-    X = [IntSet(classes.get(i, [])) for i in range(1, 5)]
+    classes = _classes(c)
+    X = [IntSet(classes[i].tolist() if i in classes else ()) for i in range(1, 5)]
     negX = [negate_set(x) for x in X]
     total = 0
     for a, b in (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))):
@@ -332,7 +341,7 @@ def non_rainbow_lower_bound(c: Coloring) -> Fraction:
     if c.domain is not Domain.INTERVAL:
         raise ValueError("non_rainbow_lower_bound expects an interval coloring")
     total = 0
-    for cls in c.classes().values():
+    for cls in (x.tolist() for x in _classes(c).values()):
         for bi in range(len(cls)):
             for ai in range(bi + 1, len(cls)):
                 total += f_n_exact(c.n, cls[bi], cls[ai])

@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import Coloring, Domain, coloring_dict, mod_coloring, random_coloring
-from .counting import count_rainbow_fast, count_rainbow_naive
+from .counting import _check_headroom, count_rainbow_fast, count_rainbow_naive
 from .enumeration import _check_scan, enumerate_quads, total_quads_formula
 
 
@@ -98,13 +98,21 @@ MAX_STATES = 1_000_000
 
 
 def _check_budget(n: int, k: int) -> None:
-    states = canonical_coloring_count(n, k)
-    if states > MAX_STATES:
-        try:
-            count = str(states)
-        except ValueError:  # more digits than Python converts to text
-            count = f"more than 10^{(states.bit_length() - 1) * 3 // 10}"
-        raise BudgetExceededError(f"{count} canonical colorings exceed the budget of {MAX_STATES}")
+    """Refuse a walk of [n], 4 <= k <= n, over more than MAX_STATES canonical
+    colorings. Those with at most four colors, (4^n + 6 * 2^n + 8) / 24, are
+    all of them at k = 4 and a floor above, so every n > 12 is refused from
+    that at once; the Stirling rows, O(n k) big-int work, are built only below.
+    """
+    if n > 7144:  # then its 2n - 4 bits make more than the 4300 digits str() takes
+        count = f"more than 10^{(2 * n - 5) * 3 // 10}"
+    else:
+        states, floor = ((1 << 2 * n) + (6 << n) + 8) // 24, k > 4
+        if floor and states <= MAX_STATES:
+            states, floor = canonical_coloring_count(n, k), False
+        if states <= MAX_STATES:
+            return
+        count = f"at least {states}" if floor else str(states)
+    raise BudgetExceededError(f"{count} canonical colorings exceed the budget of {MAX_STATES}")
 
 
 def _walk(n: int, k: int, enter: Callable[[int, int, int, list[int], list[int]], bool]) -> None:
@@ -190,9 +198,9 @@ def exhaustive_ar(n: int, k: int) -> SearchResult:
     m = min(k, n)
     if m < 4:
         # no quad can be rainbow, so the first canonical coloring, all ones, is
-        # the first maximizer; the scan ceiling comes first to keep a witness
-        # of [10**6] from being built
-        _check_scan(total_quads_formula(n), f"a naive scan of n={n}")
+        # the first maximizer; the fast recount's limit on n is checked before
+        # that witness is built
+        _check_headroom(n)
         best_count, best_cols = 0, (1,) * n
     else:
         _check_budget(n, m)

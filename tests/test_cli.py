@@ -394,14 +394,21 @@ FAILURES = {
     ("search", "--n", "14", "--k", "4", "--exhaustive"): (
         3, "", "11188907 canonical colorings exceed the budget of 1000000\n",
     ),
-    # below four colors the walk and its budget are skipped; the scan ceiling still
-    # refuses n > 494 before the witness is built
-    ("search", "--n", "500", "--k", "3", "--exhaustive"): (
-        1, "", "a naive scan of n=500 would scan 10323125 quads, over the ceiling of 10000000\n",
+    # below four colors the walk and its budget are skipped; the fast recount's
+    # int64 limit still refuses n > 2097151 before the witness is built
+    ("search", "--n", "2097152", "--k", "3", "--exhaustive"): (
+        1, "", "n=2097152 is too large for int64 histogram sums: need n <= 2097151\n",
     ),
     # a count too long for Python's int-to-str conversion, by its power of ten
     ("search", "--n", "10000", "--k", "4", "--exhaustive"): (
         3, "", "more than 10^5998 canonical colorings exceed the budget of 1000000\n",
+    ),
+    ("search", "--n", "1000000", "--k", "4", "--exhaustive"): (
+        3, "", "more than 10^599998 canonical colorings exceed the budget of 1000000\n",
+    ),
+    # past four colors the four-color count is a floor, refused without the Stirling rows
+    ("search", "--n", "4000", "--k", "4000", "--exhaustive"): (
+        3, "", f"at least {ar_budget_states(4000)} canonical colorings exceed the budget of 1000000\n",
     ),
     ("search", "--n", "600", "--k", "4", "--local"): (
         1, "", "a local search at n=600 would scan 17865250 quads, over the ceiling of 10000000\n",

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sidonrainbow import counting
 from sidonrainbow.core import (
     ClassBreakdown,
     Coloring,
@@ -20,11 +21,18 @@ from sidonrainbow.core import (
 )
 
 
+def classes(c):
+    return {color: x.tolist() for color, x in counting._classes(c).items()}
+
+
 def test_coloring_basic():
     c = Coloring(Domain.INTERVAL, 5, 3, (1, 2, 3, 1, 2))
-    assert c.classes() == {1: [1, 4], 2: [2, 5], 3: [3]}
+    assert classes(c) == {1: [1, 4], 2: [2, 5], 3: [3]}
     # colors that do not occur have no class
-    assert Coloring(Domain.INTERVAL, 4, 10**9, (7, 2, 7, 2)).classes() == {7: [1, 3], 2: [2, 4]}
+    assert classes(Coloring(Domain.INTERVAL, 4, 10**9, (7, 2, 7, 2))) == {7: [1, 3], 2: [2, 4]}
+    # colors past int64 stay distinct
+    big = Coloring(Domain.INTERVAL, 3, 2**64, (2**63 + 1, 2**63, 2**63 + 1))
+    assert classes(big) == {2**63: [2], 2**63 + 1: [1, 3]}
 
 
 def test_coloring_rejects_bad_shapes():

@@ -247,10 +247,8 @@ def test_fast_counters_check_int64_headroom():
     limit = counting._MAX_N
     assert limit**3 <= 2**63 - 1 < (limit + 1) ** 3
     for domain, count in ((Domain.INTERVAL, count_rainbow_fast), (Domain.CYCLIC, count_rainbow_cyclic_fast)):
-        # a stand-in coloring: the check must fire before any class is built
-        huge = SimpleNamespace(
-            domain=domain, n=limit + 1, k=4, classes=lambda: pytest.fail("classes built")
-        )
+        # a stand-in coloring without colors: the check must fire before any class is built
+        huge = SimpleNamespace(domain=domain, n=limit + 1, k=4)
         with pytest.raises(ValueError, match=f"n={limit + 1} .*n <= {limit}"):
             count(huge)
 
@@ -273,6 +271,26 @@ def test_counters_cost_only_the_colors_that_occur():
         finally:
             tracemalloc.stop()
         assert got == want > 0 and peak < 64 * 1024
+
+
+@pytest.mark.parametrize(
+    "count, domain, n, k, per_n",
+    [
+        # measured 79 and 279 bytes per n; classes as lists of boxed ints and a
+        # residual buffer beside each engine's histograms took 181 and 339
+        (count_rainbow_fast, Domain.INTERVAL, 10**5, 4, 100),
+        (count_rainbow_cyclic_fast, Domain.CYCLIC, 8000, 8, 300),
+    ],
+)
+def test_fast_counters_peak_per_n(count, domain, n, k, per_n):
+    c = random_coloring(n, k, 1, domain)
+    tracemalloc.start()
+    try:
+        count(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < per_n * n, peak / n
 
 
 def test_cyclic_scan_size_counts_scanned_pairs():

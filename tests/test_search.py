@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sidonrainbow import search
+from sidonrainbow import counting, search
 from sidonrainbow.core import Coloring, Domain, mod_coloring, random_coloring
 from sidonrainbow.counting import count_rainbow_naive
 from sidonrainbow.enumeration import SCAN_CEILING, enumerate_quads, total_quads_formula
@@ -70,6 +70,21 @@ def test_exhaustive_budget(monkeypatch):
         exhaustive_ar(9, 4)
 
 
+def test_budget_builds_stirling_rows_only_under_the_four_color_count(monkeypatch):
+    # the count with at most four colors is exact at k = 4 and a floor above:
+    # at n = 12 it passes (700075) and the Stirling rows count 2079475 at k = 5
+    with pytest.raises(BudgetExceededError, match="^2079475 canonical colorings exceed"):
+        exhaustive_ar(12, 5)
+    # past n = 12 it refuses at once: 2798251 at n = 13
+    monkeypatch.setattr(search, "canonical_coloring_count", lambda n, k: pytest.fail("rows built"))
+    with pytest.raises(BudgetExceededError, match="^2798251 canonical colorings exceed"):
+        exhaustive_ar(13, 4)
+    with pytest.raises(BudgetExceededError, match="^at least 2798251 canonical colorings exceed"):
+        exhaustive_ar(13, 5)
+    with pytest.raises(BudgetExceededError, match=r"^more than 10\^5998 canonical colorings exceed"):
+        fox_spot_check(10**4)
+
+
 def test_exhaustive_below_four_colors_skips_the_walk(monkeypatch):
     # no quad can be rainbow, so neither the budget nor a quad table is needed
     def walk(*args):
@@ -85,11 +100,12 @@ def test_exhaustive_below_four_colors_skips_the_walk(monkeypatch):
 
 
 def test_exhaustive_below_four_colors_refuses_the_recount_first():
-    # the all-ones witness of [10**6] would take 8 MiB; the scan ceiling refuses n first
+    # the all-ones witness would take 16 MiB; the fast recount's limit on n refuses first
+    n = counting._MAX_N + 1
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="^a naive scan of n=1000000 would scan"):
-            exhaustive_ar(10**6, 3)
+        with pytest.raises(ValueError, match=f"^n={n} is too large for int64 histogram sums"):
+            exhaustive_ar(n, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
