@@ -9,9 +9,12 @@ Three independent interval-domain counters are kept deliberately separate:
                         from a pair-sum and a pair-difference histogram per
                         color class, by one of two exact engines per class
                         size: about |X|^2 / 2 pairs in blocks of sqrt(8n)
-                        rows (O(|X|^2) time) for small classes, two decimal
-                        squarings (O(n log n)) for large ones; O(n) memory,
-                        79 bytes per n for a random 4-coloring at n = 10^5;
+                        rows (O(|X|^2) time) for small classes, and for
+                        large ones an exact number-theoretic transform mod
+                        a prime (O(n log n)): two per class, and one per
+                        call for every large class's differences together;
+                        O(n) memory, 74 bytes per n for a random 4-coloring
+                        at n = 10^5;
   rainbow_via_energy    for k = 4, three 4-fold additive energies with the
                         second side negated.
 
@@ -20,7 +23,6 @@ difference read mod n and the pairing treated as part of the solution.
 """
 from __future__ import annotations
 
-from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded
 from fractions import Fraction
 from math import comb, isqrt
 
@@ -140,7 +142,7 @@ def _pair_histograms(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     A block of r rows forms r^2 pairs with itself and r * (rows after it)
     with the rest, about |x|^2 / 2 + |x| * r / 2 in all, and pays four
     O(n) bincounts, each costing about n pair entries: r = sqrt(8n) balances
-    |x| * r / 2 against 4n * |x| / r (timed flat from sqrt(4n) to sqrt(8n)).
+    |x| * r / 2 against 4n * |x| / r (sqrt(4n) timed 4-8% slower at n = 2000..5000).
     """
     width = 2 * n + 1
     sums, diffs = np.zeros(width, dtype=np.int64), np.zeros(width, dtype=np.int64)
@@ -156,76 +158,196 @@ def _pair_histograms(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return sums, diffs
 
 
-# Integer products of any size, exact: an inexact or rounded result raises.
-_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded])
+# The transform engine works modulo _P = 119 * 2**23 + 1, a prime whose
+# multiplicative group 3 generates: it holds a primitive root of unity of every
+# power-of-two length up to 2**23. Every slot it computes counts at most n
+# pairs, and n <= _MAX_N < _P, so each residue is the count itself; a class's
+# sums and differences take 2n - 1 slots, so the length never wraps.
+_P = 998_244_353
+assert _MAX_N < _P
+assert 2 * _MAX_N - 1 <= 2**23
+# w + 1/w squares to w^2 + 2 + w^-2 = 2 for w a primitive 8th root, w^2 = -w^-2
+_ROOT2 = (pow(3, (_P - 1) // 8, _P) + pow(3, 7 * (_P - 1) // 8, _P)) % _P
+# Butterflies one numpy call works on: a chunk's scratch stays in cache.
+_CHUNK = 1 << 14
+# Stages of half-span below this run on transposed blocks of _SPAN elements,
+# where numpy's inner loops run along the blocks and not along the short span.
+_SPAN = 64
 
 
-def _square_slots(digits: np.ndarray, slots: int) -> np.ndarray:
-    """The square of the decimal integer whose slots, most significant first,
-    are the rows of the ASCII digit matrix digits, read back as `slots`
-    int64 slot values.
+def _mulmod(a: np.ndarray, w: np.ndarray, out: np.ndarray, b: np.ndarray, t: np.ndarray) -> None:
+    """out = a * w mod _P over uint32 residues, by way of the uint64 scratch b
+    and the uint32 scratch t: q = b // _P fits 32 bits, and b - q * _P < _P is
+    read from the low 32 bits of b and of q * _P."""
+    np.multiply(a, w, out=b, dtype=np.uint64)
+    np.floor_divide(b, _P, out=t, casting="unsafe")
+    t *= _P
+    np.subtract(b, t, out=out, dtype=np.uint32, casting="unsafe")
 
-    libmpdec squares by an exact number-theoretic transform, one forward
-    transform fewer than a product of two operands. The digits are read in
-    place: Horner over the W digit columns, then one subtraction of the
-    ASCII offset 48 * (10^W - 1) / 9; a top slot with leading zeros that
-    str() left out is read by itself.
+
+# Both butterflies reduce a sum or difference of residues with one minimum: the
+# uint32 arithmetic wraps, so of x and x - _P (or x + _P) the smaller is x mod _P.
+# Neither writes into x from a view of x other than the one it reads, so numpy
+# never copies an operand to guard an overlap.
+
+
+def _forward_butterfly(u, v, w, b, t, s) -> None:
+    """(u, v) <- (u + v, (u - v) w): one decimation-in-frequency step."""
+    np.subtract(u, v, out=s)
+    s += _P
+    np.add(u, v, out=t)
+    np.subtract(t, _P, out=u)
+    np.minimum(u, t, out=u)
+    _mulmod(s, w, v, b, t)
+
+
+def _backward_butterfly(u, v, w, b, t, s) -> None:
+    """(u, v) <- (u + v w, u - v w): one decimation-in-time step."""
+    _mulmod(v, w, t, b, t)
+    np.subtract(u, t, out=s)
+    np.add(s, _P, out=v)
+    np.minimum(s, v, out=v)
+    np.add(u, t, out=s)
+    np.subtract(s, _P, out=u)
+    np.minimum(u, s, out=u)
+
+
+def _roots(length: int) -> np.ndarray:
+    """w^k mod _P for k < length / 2, w a primitive length-th root of unity: the
+    one table every stage of a transform of that length reads, as uint32."""
+    roots = np.ones(length // 2, dtype=np.uint32)
+    b, t = np.empty(len(roots) // 2, dtype=np.uint64), np.empty(len(roots) // 2, dtype=np.uint32)
+    w, m = pow(3, (_P - 1) // length, _P), 1
+    while m < len(roots):
+        _mulmod(roots[:m], pow(w, m, _P), roots[m : 2 * m], b[:m], t[:m])
+        m *= 2
+    return roots
+
+
+def _transform(x: np.ndarray, roots: np.ndarray, forward: bool) -> None:
+    """The transform y(j) = sum_t x(t) w^(jt) mod _P, in place, for x of length L
+    = 2 * len(roots): forward reads x in natural order and leaves y in
+    bit-reversed order, and backward the other way round. Applying both gives
+    L * x(-j), so a backward transform also inverts, read backwards.
+
+    Stage h pairs the elements h apart in each block of 2h, a chunk of about
+    _CHUNK pairs at a time; the stages below _SPAN run block by block on a
+    transposed copy.
     """
-    width = digits.shape[1]
-    a = Decimal(str(digits, "ascii"))
-    a = _EXACT.multiply(a, a)  # the operand goes once its square is made
-    # a carry past the top slot is cut off here, so the callers' sum checks
-    # see it too; a square that fits is not copied
-    text = str(a).encode()[-slots * width :]
+    length = len(x)
+    spans = [length >> i for i in range(1, length.bit_length())]  # L/2 .. 1
+    step = _forward_butterfly if forward else _backward_butterfly
+    b = np.empty(_CHUNK, dtype=np.uint64)
+    t, s = np.empty(_CHUNK, dtype=np.uint32), np.empty(_CHUNK, dtype=np.uint32)
+
+    def butterfly(u, v, w):
+        shape, size = u.shape, u.size
+        step(u, v, w, b[:size].reshape(shape), t[:size].reshape(shape), s[:size].reshape(shape))
+
+    def stage(h):
+        pairs, w = x.reshape(-1, 2, h), roots[:: len(roots) // h]
+        rows, cols = max(1, _CHUNK // h), min(h, _CHUNK)
+        for r in range(0, len(pairs), rows):
+            for k in range(0, h, cols):
+                butterfly(pairs[r : r + rows, 0, k : k + cols], pairs[r : r + rows, 1, k : k + cols], w[k : k + cols])
+
+    def short_stages(hs):
+        blocks, rows = x.reshape(-1, _SPAN), 2 * _CHUNK // _SPAN
+        for r in range(0, len(blocks), rows):
+            block = blocks[r : r + rows].T.copy()
+            for h in hs:
+                pairs = block.reshape(_SPAN // (2 * h), 2, h, -1)
+                butterfly(pairs[:, 0], pairs[:, 1], roots[:: len(roots) // h][:h, None])
+            blocks[r : r + rows] = block.T
+
+    short = [h for h in spans if h < _SPAN < length]
+    long = spans[: len(spans) - len(short)]
+    if forward:
+        for h in long:
+            stage(h)
+        if short:
+            short_stages(short)
+    else:
+        if short:
+            short_stages(short[::-1])
+        for h in reversed(long):
+            stage(h)
+
+
+def _read_cyclic(out: np.ndarray, y: np.ndarray) -> None:
+    """out[i] = y[i mod len(y)]: a transform too short for its window reads
+    some slots twice, which the callers' sum checks catch."""
+    for k in range(0, len(out), len(y)):
+        out[k : k + len(y)] = y[: len(out) - k]
+
+
+def _transform_sums(x: np.ndarray, n: int, roots: np.ndarray, acc: np.ndarray) -> np.ndarray:
+    """Q(l) = #{(a, b) in x^2 : a + b = l} at index l = 0..2n, int64, for the
+    sorted class x of [n]: one forward transform of its indicator a (a(j - 1)
+    = 1 for j in x), squared pointwise and transformed back. A(j) A(-j), the
+    transform of the class's differences, is added to acc on the way.
+
+    In bit-reversed order position 0 holds A(0), and each block [2^s, 2^(s+1))
+    holds A(j) for the j of one 2-adic valuation, where A(-j) sits at the
+    mirror position. The indicator holds c with c^2 = 1/L, so that both
+    products come back unscaled.
+
+    The result is read cyclically from the backward transform, so a transform
+    shorter than the 2n - 1 slots reads some of them twice; Q must sum to
+    |x|^2, or OverflowError is raised.
+    """
+    length = 2 * len(roots)
+    a = np.zeros(length, dtype=np.uint32)
+    a[x - 1] = pow(_ROOT2, 1 - length.bit_length(), _P)
+    _transform(a, roots, forward=True)
+    b = np.empty(min(_CHUNK, length), dtype=np.uint64)
+    t, s = np.empty(len(b), dtype=np.uint32), np.empty(len(b), dtype=np.uint32)
+    # a block [lo, 2lo) against its mirror; position 0 is its own mirror
+    for lo, hi in [(0, 1)] + [(1 << i, 2 << i) for i in range(length.bit_length() - 1)]:
+        mirror = a[lo:hi][::-1]
+        for k in range(lo, hi, len(b)):
+            e = min(hi, k + len(b))
+            u, m = acc[k:e], s[: e - k]
+            _mulmod(a[k:e], mirror[k - lo : e - lo], m, b[: e - k], t[: e - k])
+            u += m
+            np.subtract(u, _P, out=m)
+            np.minimum(u, m, out=u)
+    for k in range(0, length, len(b)):
+        sq = a[k : k + len(b)]
+        _mulmod(sq, sq, sq, b[: len(sq)], t[: len(sq)])
+    del b, t, s
+    _transform(a, roots, forward=False)
+    q = np.zeros(2 * n + 1, dtype=np.int64)
+    q[2] = a[0]
+    _read_cyclic(q[3:], a[::-1])
     del a
-    full, top = divmod(len(text), width)
-    v = np.zeros(slots, dtype=np.int64)
-    body = v[:full]
-    for col in np.frombuffer(text, dtype=np.uint8, offset=top).reshape(full, width)[::-1].T:
-        body *= 10
-        body += col
-    body -= ord("0") * (10**width - 1) // 9
-    if top:
-        v[full] = int(text[:top])
-    return v
+    if int(q.sum()) != len(x) ** 2:
+        raise OverflowError(f"a transform of length {length} wrapped the sums of a class of {len(x)}")
+    return q
 
 
-def _kronecker_histograms(x: np.ndarray, n: int, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """_pair_histograms by Kronecker substitution: the class indicator as a
-    decimal integer a = sum_{j in x} 10^(width * j), and its reverse r with j
-    at n - j. Slot l of a^2 is Q(l), and slot l of (a + r)^2 is
-    Q(l) + Q(2n - l) + 2 D(l - n), since r^2 is a^2 reversed and slot d + n
-    of a * r is D(d); so two squarings give both histograms, while no slot
-    reaches 10^width.
-
-    A slot that overflowed would carry into the next one and lower the total,
-    so Q must sum to |x|^2 and (a + r)^2 to 4|x|^2, or OverflowError is raised.
-    Q, no slot of it above |x|, waits out the second squaring in the narrowest dtype.
+def _transform_differences(n: int, roots: np.ndarray, acc: np.ndarray, pairs: int) -> np.ndarray:
+    """D(d) = #{(a, b) : a - b = d} at index d + n, int64, summed over the
+    classes whose A(j) A(-j) acc holds, from one backward transform of acc.
+    D is even in d; read cyclically like the sums, it must total `pairs`,
+    the sum of the squared class sizes, or OverflowError is raised.
     """
-    slots = 2 * n + 1
-    digits = np.full((n + 1, width), ord("0"), dtype=np.uint8)
-    digits[n - x, -1] = ord("1")  # a, slot n first
-    q = _square_slots(digits, slots)
-    m = len(x)
-    total, q = int(q.sum()), q.astype(np.min_scalar_type(m))
-    digits[x, -1] += 1  # a + r, the same in either slot order
-    d = _square_slots(digits, slots)
-    del digits
-    if total != m**2 or int(d.sum()) != 4 * m**2:
-        raise OverflowError(f"histogram slots of {width} digits overflowed for a class of {m}")
-    d -= q
-    d -= q[::-1]
-    d >>= 1
-    return q.astype(np.int64), d
+    _transform(acc, roots, forward=False)
+    d = np.zeros(2 * n + 1, dtype=np.int64)
+    _read_cyclic(d[n : 2 * n], acc)
+    d[:n] = d[2 * n : n : -1]
+    if int(d.sum()) != pairs:
+        raise OverflowError(f"a transform of length {len(acc)} wrapped the differences of classes of {pairs} pairs")
+    return d
 
 
-# A class X takes the transform engine when |X|^2 > _CROSSOVER * n * W, for W
-# the digits of |X|: the pair histograms cost about |X|^2 and the transform
-# about n * W. Timed per class on a 2-vCPU x86 host (numpy 2.4, libmpdec
-# 2.5.1), the two engines broke even at |X|^2 / (n * W) of about 100, 60, 30,
-# 60, 50, 45 and 50 for n = 1000, 3000, 8000, 10^4, 2 * 10^4, 5 * 10^4 and
-# 10^5; the transform's cost steps with libmpdec's transform lengths.
-_CROSSOVER = 48
+# A class X takes the transform engine when |X|^2 > _CROSSOVER * (L + 2**13),
+# for L the transform length: the pair histograms cost about |X|^2, and the
+# transform about L (log L grows slowly) plus its few hundred numpy calls,
+# which cost as much as some 2**13 slots. Timed per class on a 2-vCPU x86
+# host (numpy 2.4), |X|^2 / L broke even at 21-29 for L >= 2**15, 31-57 at
+# L = 2**13..2**14, about 75 at 2**12 and 130 at 2**11.
+_CROSSOVER = 25
 
 
 def _fold(v: np.ndarray, n: int) -> np.ndarray:
@@ -247,16 +369,21 @@ def _rainbow_from_histograms(c: Coloring, cyclic: bool) -> int:
         return 0
     _check_headroom(n)
     s = np.full(n, n) if cyclic else (n - np.abs(np.arange(-n - 1, n))).clip(0)
-    d = np.zeros(2 * n + 1, dtype=np.int64)
-    r_sq = q_sq = 0
+    length = 2 << (n - 1).bit_length()  # twice the smallest power of two >= n: at least 2n - 1
+    # D of the pair-engine classes in d, and of the transform classes in acc,
+    # each made only once a class needs it
+    d = acc = None
+    r_sq = q_sq = pairs = 0
     for x in _classes(c).values():
-        if len(x) ** 2 > _CROSSOVER * n * len(str(len(x))):
-            # every slot of (a + r)^2 is at most 4|x|: slots of its digit count hold it
-            q, diffs = _kronecker_histograms(x, n, len(str(4 * len(x))))
+        if len(x) ** 2 > _CROSSOVER * (length + 2**13):
+            if acc is None:
+                roots, acc = _roots(length), np.zeros(length, dtype=np.uint32)
+            q = _transform_sums(x, n, roots, acc)
+            pairs += len(x) ** 2
         else:
             q, diffs = _pair_histograms(x, n)
-        d += diffs
-        del diffs
+            d = diffs if d is None else np.add(d, diffs, out=d)
+            del diffs
         if cyclic:
             q, w = _fold(q, n), len(x)
         else:
@@ -269,6 +396,11 @@ def _rainbow_from_histograms(c: Coloring, cyclic: bool) -> int:
         np.subtract(w, q, out=q)  # q, fresh from its engine, turns into R_i = W_i - Q_i
         r_sq += int(q @ q)
         del q, w  # neither runs beside the next class's engine
+    if acc is not None:
+        diffs = _transform_differences(n, roots, acc, pairs)
+        del acc, roots
+        d = diffs if d is None else np.add(d, diffs, out=d)
+        del diffs
     d = _fold(d, n) if cyclic else d
     return (int(s @ s) - 4 * r_sq + 2 * (int(d @ d) - q_sq)) // 8
 

@@ -180,9 +180,22 @@ def test_pair_histograms_form_half_the_square():
     assert peak < 3 * 2**20
 
 
+def transform_histograms(x, n, length):
+    """Both histograms of the class x from the transform engine, at a given length."""
+    roots, acc = counting._roots(length), np.zeros(length, dtype=np.uint32)
+    q = counting._transform_sums(x, n, roots, acc)
+    return q, counting._transform_differences(n, roots, acc, len(x) ** 2)
+
+
+def transform_length(n):
+    # the length the fast counters use: a power of two at least 2n - 1
+    length = 2 << (n - 1).bit_length()
+    assert length >= 2 * n - 1 and (length // 2 < 2 * n - 1 or n == 1)
+    return length
+
+
 @given(st.integers(1, 300).flatmap(lambda n: st.tuples(st.just(n), st.sets(st.integers(1, n)))))
-# dense intervals [1..m], where a + r has digits 2 and its square's slots
-# reach 4m, on each side of every change of slot width (4m = 10^W)
+# dense intervals [1..m], whose slots reach m at the centre of each histogram
 @example((1, set(range(1, 2))))
 @example((2, set(range(1, 3))))
 @example((3, set(range(1, 4))))
@@ -192,42 +205,53 @@ def test_pair_histograms_form_half_the_square():
 @example((250, set(range(1, 251))))
 @example((2499, set(range(1, 2500))))
 @example((2500, set(range(1, 2501))))
-# n/2, its own mirror image: a + r has digit 2 there
+# 2n - 1 just under and just over a power of two: the window fills the
+# transform, or leaves it nearly half empty
+@example((32, set(range(1, 33))))
+@example((33, set(range(1, 34))))
+@example((64, {1, 64}))
+@example((65, {1, 65}))
+@example((128, set(range(1, 129))))
+@example((129, {1, 2, 128, 129}))
+# n/2, its own mirror image
 @example((300, {150}))
 @example((10, {1, 5, 9}))
 @settings(max_examples=100, deadline=None)
 def test_transform_histograms_match_pair_histograms(nx):
     n, members = nx
     x = np.array(sorted(members), dtype=np.int64)
-    transform = counting._kronecker_histograms(x, n, len(str(4 * len(x))))
+    transform = transform_histograms(x, n, transform_length(n))
     for got, want in zip(transform, counting._pair_histograms(x, n)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_transform_engine_matches_naive(monkeypatch):
-    # no class of these sizes crosses over; send every class through the transform
+    # no class of these sizes crosses over; send every class through the
+    # transform, at every length from 8 to 512
     monkeypatch.setattr(counting, "_CROSSOVER", 0)
     monkeypatch.setattr(counting, "_pair_histograms", lambda x, n: pytest.fail("pair histograms used"))
-    for n, k, seed in ((60, 4, 1), (57, 5, 2), (40, 9, 3), (36, 36, 4)):
+    cases = ((4, 4, 5), (5, 4, 6), (12, 4, 11), (17, 4, 7), (60, 4, 1), (57, 5, 2), (40, 9, 3), (36, 36, 4), (100, 5, 8), (129, 6, 9))
+    assert {transform_length(n) for n, _, _ in cases} == {2**i for i in range(3, 10)}
+    for n, k, seed in cases:
         c = random_coloring(n, k, seed)
         assert count_rainbow_fast(c) == count_rainbow_naive(c).rainbow
         cyc = random_coloring(n, k, seed, Domain.CYCLIC)
         assert count_rainbow_cyclic_fast(cyc) == count_rainbow_cyclic_naive(cyc)
 
 
-def test_transform_histograms_check_slot_overflow():
-    # x = [1..10]: D(0) = Q(11) = 10 needs two digits; one-digit slots carry
-    x = np.arange(1, 11, dtype=np.int64)
-    with pytest.raises(OverflowError, match="1 digits overflowed for a class of 10"):
-        counting._kronecker_histograms(x, 10, 1)
-    q, d = counting._kronecker_histograms(x, 10, 2)
-    assert q.max() == d.max() == 10
-    # x = [1..3]: Q fits one digit, but slot 3 of (a + r)^2 is 1 + 1 + 2 * 4 = 10
-    x = np.arange(1, 4, dtype=np.int64)
-    with pytest.raises(OverflowError, match="1 digits overflowed for a class of 3"):
-        counting._kronecker_histograms(x, 3, 1)
-    q, d = counting._kronecker_histograms(x, 3, 2)
-    assert q.max() == d.max() == 3
+@pytest.mark.parametrize("n", [3, 32, 33, 100])
+def test_transform_wraparound_trips_the_sum_checks(n):
+    # one power of two too short, the cyclic products wrap round; the window
+    # of 2n - 1 slots then reads some slots twice
+    x = np.arange(1, n + 1, dtype=np.int64)
+    length = transform_length(n) // 2
+    roots, acc = counting._roots(length), np.zeros(length, dtype=np.uint32)
+    with pytest.raises(OverflowError, match=f"length {length} wrapped the sums of a class of {n}"):
+        counting._transform_sums(x, n, roots, acc)
+    with pytest.raises(OverflowError, match=f"length {length} wrapped the differences of classes of {n * n} pairs"):
+        counting._transform_differences(n, roots, acc, n * n)
+    q, d = transform_histograms(x, n, 2 * length)
+    assert q.max() == d.max() == n
 
 
 def test_counters_reject_wrong_domain():
@@ -276,8 +300,9 @@ def test_counters_cost_only_the_colors_that_occur():
 @pytest.mark.parametrize(
     "count, domain, n, k, per_n",
     [
-        # measured 79 and 279 bytes per n; classes as lists of boxed ints and a
-        # residual buffer beside each engine's histograms took 181 and 339
+        # measured 74 and 103 bytes per n, both on the transform engine;
+        # classes as lists of boxed ints, a residual buffer beside each
+        # engine's histograms and decimal squarings took 181 and 339
         (count_rainbow_fast, Domain.INTERVAL, 10**5, 4, 100),
         (count_rainbow_cyclic_fast, Domain.CYCLIC, 8000, 8, 300),
     ],
