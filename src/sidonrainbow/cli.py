@@ -115,6 +115,12 @@ def _count_enumerated(n: int) -> int:
     return count
 
 
+def _print_verdict(head: str, vals: list[int]) -> bool:
+    ok = len(set(vals)) == 1
+    print(head + " ".join(str(v) for v in vals) + (" OK" if ok else " MISMATCH"))
+    return ok
+
+
 def _cmd_total(args) -> int:
     lo, hi = _parse_range(args.range) if args.range else (args.n, args.n)
     ns = range(lo, hi + 1)
@@ -127,11 +133,8 @@ def _cmd_total(args) -> int:
         vals = [total_quads_formula(n), count_quads_by_sums(n)]
         if n in enumerated:
             vals.append(_count_enumerated(n))
-        ok = len(set(vals)) == 1
-        if not ok:
+        if not _print_verdict(f"n={n} " if args.range else "", vals):
             status = EXIT_MISMATCH
-        head = f"n={n} " if args.range else ""
-        print(head + " ".join(str(v) for v in vals) + (" OK" if ok else " MISMATCH"))
     return status
 
 
@@ -159,21 +162,16 @@ def _cmd_rainbow(args) -> int:
         with open(args.coloring, encoding="utf-8") as fh:
             colorings = parse_coloring_lines(fh.read())
     except OSError as e:
-        print(f"cannot read {args.coloring}: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"cannot read {args.coloring}: {e}") from None
     except ValueError as e:
-        print(f"bad coloring file: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"bad coloring file: {e}") from None
     status = EXIT_OK
     for c in colorings:
         vals = list(_rainbow_counts(c, args.method).values())
-        if args.method == "all":
-            ok = len(set(vals)) == 1
-            if not ok:
-                status = EXIT_MISMATCH
-            print(" ".join(str(v) for v in vals) + (" OK" if ok else " MISMATCH"))
-        else:
+        if args.method != "all":
             print(vals[0])
+        elif not _print_verdict("", vals):
+            status = EXIT_MISMATCH
     return status
 
 
@@ -189,8 +187,7 @@ def _write(path: str, text: str) -> int:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as e:
-        print(f"cannot write {path}: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"cannot write {path}: {e}") from None
     return EXIT_OK
 
 

@@ -224,41 +224,48 @@ def _roots(length: int) -> np.ndarray:
     return roots
 
 
-def _transform(x: np.ndarray, roots: np.ndarray, forward: bool) -> None:
+def _scratch(length: int) -> list[np.ndarray]:
+    """The chunk scratch (b, t, s) that one transform class shares."""
+    return [np.empty(min(_CHUNK, length), dtype=d) for d in (np.uint64, np.uint32, np.uint32)]
+
+
+def _transform(x: np.ndarray, roots: np.ndarray, scratch: list[np.ndarray], forward: bool) -> None:
     """The transform y(j) = sum_t x(t) w^(jt) mod _P, in place, for x of length L
     = 2 * len(roots): forward reads x in natural order and leaves y in
     bit-reversed order, and backward the other way round. Applying both gives
     L * x(-j), so a backward transform also inverts, read backwards.
 
-    Stage h pairs the elements h apart in each block of 2h, a chunk of about
-    _CHUNK pairs at a time; the stages below _SPAN run block by block on a
-    transposed copy.
+    Stage h pairs the elements h apart in each block of 2h, len(b) pairs at a
+    time for the caller's scratch (b, t, s). The stages below _SPAN run on
+    transposed copies of 2 len(b) elements held in b, while the stretch of x
+    copied, dead until it is written back, serves as the uint64 scratch.
     """
     length = len(x)
     spans = [length >> i for i in range(1, length.bit_length())]  # L/2 .. 1
     step = _forward_butterfly if forward else _backward_butterfly
-    b = np.empty(_CHUNK, dtype=np.uint64)
-    t, s = np.empty(_CHUNK, dtype=np.uint32), np.empty(_CHUNK, dtype=np.uint32)
+    b, t, s = scratch
 
-    def butterfly(u, v, w):
+    def butterfly(u, v, w, wide=b):
         shape, size = u.shape, u.size
-        step(u, v, w, b[:size].reshape(shape), t[:size].reshape(shape), s[:size].reshape(shape))
+        step(u, v, w, wide[:size].reshape(shape), t[:size].reshape(shape), s[:size].reshape(shape))
 
     def stage(h):
         pairs, w = x.reshape(-1, 2, h), roots[:: len(roots) // h]
-        rows, cols = max(1, _CHUNK // h), min(h, _CHUNK)
+        rows, cols = max(1, len(b) // h), min(h, len(b))
         for r in range(0, len(pairs), rows):
             for k in range(0, h, cols):
                 butterfly(pairs[r : r + rows, 0, k : k + cols], pairs[r : r + rows, 1, k : k + cols], w[k : k + cols])
 
     def short_stages(hs):
-        blocks, rows = x.reshape(-1, _SPAN), 2 * _CHUNK // _SPAN
+        blocks, rows = x.reshape(-1, _SPAN), 2 * len(b) // _SPAN
         for r in range(0, len(blocks), rows):
-            block = blocks[r : r + rows].T.copy()
+            part = blocks[r : r + rows]
+            block = b.view(np.uint32)[: part.size].reshape(_SPAN, -1)
+            block[...] = part.T
             for h in hs:
                 pairs = block.reshape(_SPAN // (2 * h), 2, h, -1)
-                butterfly(pairs[:, 0], pairs[:, 1], roots[:: len(roots) // h][:h, None])
-            blocks[r : r + rows] = block.T
+                butterfly(pairs[:, 0], pairs[:, 1], roots[:: len(roots) // h][:h, None], part.view(np.uint64).ravel())
+            part[...] = block.T
 
     short = [h for h in spans if h < _SPAN < length]
     long = spans[: len(spans) - len(short)]
@@ -299,9 +306,8 @@ def _transform_sums(x: np.ndarray, n: int, roots: np.ndarray, acc: np.ndarray) -
     length = 2 * len(roots)
     a = np.zeros(length, dtype=np.uint32)
     a[x - 1] = pow(_ROOT2, 1 - length.bit_length(), _P)
-    _transform(a, roots, forward=True)
-    b = np.empty(min(_CHUNK, length), dtype=np.uint64)
-    t, s = np.empty(len(b), dtype=np.uint32), np.empty(len(b), dtype=np.uint32)
+    scratch = b, t, s = _scratch(length)
+    _transform(a, roots, scratch, forward=True)
     # a block [lo, 2lo) against its mirror; position 0 is its own mirror
     for lo, hi in [(0, 1)] + [(1 << i, 2 << i) for i in range(length.bit_length() - 1)]:
         mirror = a[lo:hi][::-1]
@@ -312,11 +318,10 @@ def _transform_sums(x: np.ndarray, n: int, roots: np.ndarray, acc: np.ndarray) -
             u += m
             np.subtract(u, _P, out=m)
             np.minimum(u, m, out=u)
-    for k in range(0, length, len(b)):
-        sq = a[k : k + len(b)]
-        _mulmod(sq, sq, sq, b[: len(sq)], t[: len(sq)])
-    del b, t, s
-    _transform(a, roots, forward=False)
+    for sq in a.reshape(-1, len(b)):
+        _mulmod(sq, sq, sq, b, t)
+    _transform(a, roots, scratch, forward=False)
+    del scratch, b, t, s
     q = np.zeros(2 * n + 1, dtype=np.int64)
     q[2] = a[0]
     _read_cyclic(q[3:], a[::-1])
@@ -332,7 +337,7 @@ def _transform_differences(n: int, roots: np.ndarray, acc: np.ndarray, pairs: in
     D is even in d; read cyclically like the sums, it must total `pairs`,
     the sum of the squared class sizes, or OverflowError is raised.
     """
-    _transform(acc, roots, forward=False)
+    _transform(acc, roots, _scratch(len(acc)), forward=False)
     d = np.zeros(2 * n + 1, dtype=np.int64)
     _read_cyclic(d[n : 2 * n], acc)
     d[:n] = d[2 * n : n : -1]

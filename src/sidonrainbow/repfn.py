@@ -216,6 +216,8 @@ def check_energy_dominance(a1: int, a2: int, a3: int, a4: int, profiles=None) ->
     given, maps (a, b) to rep_profile([-a, a], [-b, b]) for both radius pairs,
     so a caller checking many tuples builds each profile once.
     """
+    if min(a1, a2, a3, a4) < 1:
+        raise ValueError("interval radii must be >= 1")
     s = a1 + a2 + a3 + a4
     if s % 4 != 0:
         raise ValueError(f"sum of radii must be divisible by 4, got {s}")

@@ -8,7 +8,7 @@ the partial rainbow count travels down the tree with the number of quads
 still able to turn rainbow: those not yet scored whose colored elements show
 distinct colors. So a caller's hook can prune a subtree from its partial
 count, that bound and the class sizes; the exhaustive maximum prunes on
-count plus the bound, from a best count seeded by the mod-k coloring. The
+count plus the bound, from one below the mod-k coloring's fast count. The
 walker keeps its quad sets as bitsets, one bit per quad of a Python int, so
 a node costs a few big-int operations, not a pass over its quads, and it asks
 the hook about each child in the parent's color loop, so a child the hook
@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import Coloring, Domain, coloring_dict, mod_coloring, random_coloring
-from .counting import _check_headroom, count_rainbow_fast, count_rainbow_naive
+from .counting import _check_headroom, count_rainbow_fast
 from .enumeration import _check_scan, enumerate_quads, total_quads_formula
 
 
@@ -204,9 +204,10 @@ def exhaustive_ar(n: int, k: int) -> SearchResult:
         best_count, best_cols = 0, (1,) * n
     else:
         _check_budget(n, m)
-        # the mod-m coloring is a canonical leaf, so from one below its count
-        # the prune never skips the first maximizer
-        best_count = count_rainbow_naive(mod_coloring(n, m)).rainbow - 1
+        # the mod-m coloring is a canonical leaf, so from one below its count the
+        # prune skips no maximizer; only a wrong count leaves it the witness
+        seed = mod_coloring(n, m)
+        best_count, best_cols = count_rainbow_fast(seed) - 1, seed.colors
 
         def enter(pos: int, count: int, alive: int, sizes: list[int], cols: list[int]) -> bool:
             nonlocal best_count, best_cols
@@ -355,17 +356,12 @@ def local_search(
         raise ValueError("move budget must be nonnegative")
     # the scan ceiling bounds the gain-table work per move, O(k n^2)
     _check_scan(total_quads_formula(n), f"a local search at n={n}")
-    best_count, best_cols, total_moves = -1, None, 0
-    budget_left = max_moves
+    best_count, best_cols, budget_left = -1, None, max_moves
     for r in range(restarts):
-        if r == 0:
-            start = mod_coloring(n, k)
-        else:
-            start = random_coloring(n, k, seed + r)
+        start = random_coloring(n, k, seed + r) if r else mod_coloring(n, k)
         cols = np.array(start.colors)
         count, used = _climb(cols, k, budget_left)
         budget_left -= used
-        total_moves += used
         if count > best_count:
             best_count, best_cols = count, tuple(cols.tolist())
         if budget_left <= 0:
@@ -374,7 +370,7 @@ def local_search(
     stop = "move budget" if budget_left <= 0 else "local maximum"
     return _verified(
         SearchResult(
-            best_count, witness, "local", restarts, total_moves, seed,
+            best_count, witness, "local", restarts, max_moves - budget_left, seed,
             exact=False, stop=stop,
         )
     )

@@ -65,6 +65,31 @@ def test_rainbow_all_methods(capsys, tmp_path):
     assert out == "10 10 10 OK\n16 16 OK\n"
 
 
+def test_total_prints_mismatch_when_a_route_is_off(capsys, monkeypatch):
+    real = cli.count_quads_by_sums
+    monkeypatch.setattr(cli, "count_quads_by_sums", lambda n: real(n) + (n == 5))
+    rc, out, _ = run(capsys, "total", "--range", "4..6")
+    assert rc == 2 and out == "n=4 1 1 1 OK\nn=5 3 4 3 MISMATCH\nn=6 7 7 7 OK\n"
+    rc, out, _ = run(capsys, "total", "--n", "5")
+    assert rc == 2 and out == "3 4 3 MISMATCH\n"
+
+
+@pytest.mark.parametrize(
+    "route, want",
+    [
+        ("count_rainbow_fast", "10 11 10 MISMATCH\n16 16 OK\n"),
+        ("count_rainbow_cyclic_fast", "10 10 10 OK\n16 17 MISMATCH\n"),
+        ("rainbow_via_energy", "10 10 11 MISMATCH\n16 16 OK\n"),
+    ],
+)
+def test_rainbow_all_prints_mismatch_when_a_route_is_off(capsys, monkeypatch, tmp_path, route, want):
+    real = getattr(cli, route)
+    monkeypatch.setattr(cli, route, lambda c: real(c) + 1)
+    path = coloring_file(tmp_path, mod_coloring(8, 4), mod_coloring(8, 4, Domain.CYCLIC))
+    rc, out, _ = run(capsys, "rainbow", "--coloring", path, "--method", "all")
+    assert rc == 2 and out == want
+
+
 def test_rainbow_single_method(capsys, tmp_path):
     path = coloring_file(tmp_path, mod_coloring(12, 5))
     rc, out, _ = run(capsys, "rainbow", "--coloring", path, "--method", "fast")

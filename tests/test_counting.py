@@ -300,11 +300,14 @@ def test_counters_cost_only_the_colors_that_occur():
 @pytest.mark.parametrize(
     "count, domain, n, k, per_n",
     [
-        # measured 74 and 103 bytes per n, both on the transform engine;
-        # classes as lists of boxed ints, a residual buffer beside each
-        # engine's histograms and decimal squarings took 181 and 339
+        # measured 74, 87 and 78 bytes per n, all on the transform engine
+        # with one chunk scratch set a transform class; scratch made afresh
+        # by each transform took 74, 103 and 87, and classes as lists of boxed
+        # ints, a residual buffer beside each engine's histograms and decimal
+        # squarings 181 and 339 for the first two
         (count_rainbow_fast, Domain.INTERVAL, 10**5, 4, 100),
         (count_rainbow_cyclic_fast, Domain.CYCLIC, 8000, 8, 300),
+        (count_rainbow_fast, Domain.INTERVAL, 20000, 4, 84),
     ],
 )
 def test_fast_counters_peak_per_n(count, domain, n, k, per_n):

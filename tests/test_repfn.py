@@ -241,6 +241,13 @@ def test_sum_dominance_on_arrays():
         check_sum_dominance(1, 1, 1, 1, np.array([0, 1, -3]))
 
 
+@pytest.mark.parametrize("radii", [(0, 2, 1, 1), (-1, 3, 1, 1)])
+def test_energy_dominance_checks_radii_first(monkeypatch, radii):
+    monkeypatch.setattr(repfn, "rep_profile", lambda A, B: pytest.fail("profile built"))
+    with pytest.raises(ValueError, match="interval radii must be >= 1"):
+        check_energy_dominance(*radii)
+
+
 @given(st.tuples(st.integers(1, 8), st.integers(1, 8), st.integers(1, 8), st.integers(1, 8)))
 def test_energy_dominance_with_shared_profiles(radii):
     a1, a2, a3, a4 = radii

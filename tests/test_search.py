@@ -506,3 +506,10 @@ def test_fox_budget(monkeypatch):
     monkeypatch.setattr(search, "MAX_STATES", 10)
     with pytest.raises(BudgetExceededError, match="^700075 canonical colorings exceed the budget of 10$"):
         fox_spot_check(12)
+
+
+def test_searches_never_reach_the_naive_scan(monkeypatch):
+    monkeypatch.setattr(counting, "_naive_tallies", lambda c, cyclic: pytest.fail("naive scan"))
+    assert exhaustive_ar(11, 4).best_count == 26
+    assert fox_spot_check(11) is False
+    assert local_search(30, 4, 1, 2, 5).stop == "move budget"

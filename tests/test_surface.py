@@ -1,8 +1,9 @@
-"""No dead public surface: every public function, class and method that
+"""No dead surface: every public function, class and method that
 src/sidonrainbow defines is used by the package itself (its __init__ aside,
 which only re-exports), by bench/, or by README.md. Tests do not count: a name
 that only a test reaches is a name to delete, unless it is an oracle or a
-documented entry point listed in ALLOWED."""
+documented entry point listed in ALLOWED. Every private module-level function,
+class or constant is read by the package itself."""
 import ast
 import re
 from pathlib import Path
@@ -23,7 +24,7 @@ def used_names(paths) -> set[str]:
     used = set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
@@ -64,3 +65,21 @@ def test_every_public_name_has_a_user():
 def test_allowed_names_still_exist():
     defined = {name for path in MODULES for name in public_definitions(path)}
     assert set(ALLOWED) <= defined
+
+
+def private_definitions(path) -> list[str]:
+    """Private top-level functions, classes and assigned names of a module."""
+    names = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def test_every_private_name_has_a_reader_in_src():
+    used = used_names(sorted((ROOT / "src" / "sidonrainbow").glob("*.py")))
+    unread = [f"{path.stem}.{name}" for path in MODULES for name in private_definitions(path) if name not in used]
+    assert unread == []
