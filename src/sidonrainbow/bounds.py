@@ -6,10 +6,10 @@ against them is indicative only. The two bounds that hold absolutely (the
 trivial total-count ceiling and the cyclic 3n^3/64 ceiling for four colors)
 carry no flag and may be asserted.
 
-Three parity constants are easy to conflate: 0 or 1/8 in the exact total
-count of Sidon 4-sets (n even or odd, in total_quads_formula), 1/2 or 3/8 in
-|S(k)| (k even or odd, in modular_count_formula), and theta_lb, 1/3 or 1/4,
-two thirds of the latter, in the lower-bound coefficient.
+Two parity constants are easy to conflate: 0 or 1/8 in the exact total
+count of Sidon 4-sets (n even or odd, in total_quads_formula), and 1/2 or 3/8
+in |S(k)| (k even or odd, in modular_count_formula), which the lower-bound
+coefficient reads.
 """
 from __future__ import annotations
 
@@ -24,13 +24,10 @@ FLAG_UPPER = "+O_k(n^2)"
 FLAG_LOWER = "-O_k(n^2)"
 
 
-def theta_lb(k: int) -> Fraction:
-    return Fraction(1, 3) if k % 2 == 0 else Fraction(1, 4)
-
-
 def lb_coefficient(k: int) -> Fraction:
-    """Leading coefficient 1/12 - 1/(3k) + theta_lb/k^2 of the constructive lower bound."""
-    return Fraction(1, 12) - Fraction(1, 3 * k) + theta_lb(k) / k**2
+    """Leading coefficient 2|S(k)|/(3k^3) of the constructive lower bound: the
+    density of the mod-k construction, 1/12 - 1/(3k) + O(1/k^2)."""
+    return Fraction(2 * modular_count_formula(k), 3 * k**3)
 
 
 def ub_general_coefficient(k: int) -> Fraction:

@@ -24,12 +24,12 @@ difference read mod n and the pairing treated as part of the solution.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, isqrt
+from math import isqrt
 
 import numpy as np
 
 from .core import ClassBreakdown, Coloring, Domain
-from .enumeration import _check_scan, f_n_exact, total_quads_formula
+from .enumeration import _check_scan, f_n_exact, modular_count_formula, total_quads_formula
 from .repfn import IntSet, additive_energy, negate_set
 
 
@@ -438,17 +438,6 @@ def rainbow_via_energy(c: Coloring) -> int:
     return total
 
 
-def _cyclic_scan_size(n: int) -> int:
-    """Pairs of same-sum pairs that count_rainbow_cyclic_naive scans: residue r
-    has (n - #{a : 2a = r mod n}) / 2 pairs {a, b} with a + b = r mod n. For
-    odd n, 2a = r has one root a for every r; for even n, two for each of the
-    n/2 even r and none for the n/2 odd ones."""
-    h = n // 2
-    if n % 2:
-        return n * comb(h, 2)
-    return h * (comb(h - 1, 2) + comb(h, 2))
-
-
 def count_rainbow_cyclic_naive(c: Coloring) -> int:
     """Rainbow solutions to x+y = z+t in Z_n by scanning pairs of same-sum pairs.
 
@@ -457,7 +446,8 @@ def count_rainbow_cyclic_naive(c: Coloring) -> int:
     """
     if c.domain is not Domain.CYCLIC:
         raise ValueError("count_rainbow_cyclic_naive expects a cyclic coloring")
-    _check_scan(_cyclic_scan_size(c.n), f"a cyclic naive scan of n={c.n}")
+    # the scan visits each balanced pairing of |S(n)| once
+    _check_scan(modular_count_formula(c.n), f"a cyclic naive scan of n={c.n}")
     return _naive_tallies(c, cyclic=True)[4]
 
 

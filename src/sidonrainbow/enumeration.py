@@ -16,9 +16,10 @@ import numpy as np
 from .core import ModularSidonQuad
 
 
-# The most quads one scan may visit. At the ceiling (n = 494 for [n], n = 432
-# for Z_n) the naive rainbow counters take about 0.1 s and total's checked
-# enumeration about 0.06 s on a 2-vCPU x86 host.
+# The most quads one scan may visit. At the ceiling (n = 494 for [n] through
+# total_quads_formula, n = 432 for Z_n through modular_count_formula) the naive
+# rainbow counters take about 0.1 s and total's checked enumeration about
+# 0.06 s on a 2-vCPU x86 host.
 SCAN_CEILING = 10_000_000
 
 

@@ -209,7 +209,8 @@ def check_sum_dominance(a1: int, a2: int, a3: int, a4: int, m) -> bool:
 
 
 def check_energy_dominance(a1: int, a2: int, a3: int, a4: int, profiles=None) -> bool:
-    """Aggregate form: sum_m r_{A1+A2}(m) * r_{A3+A4}(m) <= sum_{|m| <= s/2} r_{J+J}(m)^2.
+    """Aggregate form: sum_m r_{A1+A2}(m) * r_{A3+A4}(m) <= sum_{|m| <= s/2} r_{J+J}(m)^2,
+    which is E_4 of four copies of J = [-s/4, s/4] (closed_energy4_interval).
 
     Holds for every radius tuple with 4 | s: where both factors are positive the
     pointwise bound applies, and elsewhere the product is zero. `profiles`, if
@@ -226,8 +227,7 @@ def check_energy_dominance(a1: int, a2: int, a3: int, a4: int, profiles=None) ->
     half = s // 2
     # both profiles vanish beyond |m| = min(a1 + a2, a3 + a4) <= s/2
     lhs = int(np.dot(profiles[a1, a2].window(-half, half), profiles[a3, a4].window(-half, half)))
-    rhs = int((closed_rep_one_interval(s // 4, np.arange(-half, half + 1)) ** 2).sum())
-    return lhs <= rhs
+    return lhs <= closed_energy4_interval(s // 4)
 
 
 def check_lev(sets: Sequence[IntSet]) -> bool:

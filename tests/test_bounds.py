@@ -11,22 +11,19 @@ from sidonrainbow.bounds import (
     lb_coefficient,
     report_to_json,
     report_to_text,
-    theta_lb,
     ub_general_coefficient,
 )
 from sidonrainbow.counting import count_rainbow_fast, count_rainbow_naive
 from sidonrainbow.core import mod_coloring, random_coloring
-from sidonrainbow.enumeration import modular_count_formula, total_quads_formula
+from sidonrainbow.enumeration import total_quads_formula
 
 
-def test_theta_parity():
-    assert theta_lb(8) == Fraction(1, 3) and theta_lb(9) == Fraction(1, 4)
-
-
-def test_lb_coefficient_is_modular_density():
-    # the construction realizes 2|S(k)| of the 3k^3 split patterns per sum
-    for k in range(4, 41):
-        assert lb_coefficient(k) == Fraction(2 * modular_count_formula(k), 3 * k**3)
+def test_lb_coefficient_is_the_papers_expansion():
+    # 2|S(k)|/(3k^3), the mod-k construction's density, against the paper's
+    # 1/12 - 1/(3k) + theta/k^2 with theta = 1/3 for even k and 1/4 for odd k
+    for k in range(1, 201):
+        theta = Fraction(1, 3) if k % 2 == 0 else Fraction(1, 4)
+        assert lb_coefficient(k) == Fraction(1, 12) - Fraction(1, 3 * k) + theta / k**2
 
 
 def test_coefficient_spots():

@@ -310,6 +310,19 @@ def test_verify_rejects_trials_below_one(capsys, suite, trials):
     assert "--trials must be at least 1" in err
 
 
+@pytest.mark.parametrize("suite", ["lev", "all", "lemmas"])
+def test_verify_checks_trials_ceiling_before_any_suite(capsys, monkeypatch, suite):
+    calls = []
+    for name in ("_suite_closed_forms", "_suite_lev", "_suite_floor"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name: calls.append(name) or [(name, True)])
+    over = cli.MAX_TRIALS + 1
+    rc, out, err = run(capsys, "verify", "--suite", suite, "--trials", str(over))
+    assert (rc, out, err, calls) == (1, "", f"--trials must be at most {cli.MAX_TRIALS}, got {over}\n", [])
+    # the ceiling itself is admitted
+    assert run(capsys, "verify", "--suite", suite, "--trials", str(cli.MAX_TRIALS))[0] == 0
+    assert calls
+
+
 def plus_one_at(real, hit):
     """`real` with 1 added wherever hit(args, m) holds; m is an int or an array of m."""
     return lambda *args: real(*args) + hit(args[:-1], np.asarray(args[-1]))
@@ -475,6 +488,7 @@ FAILURES = {
     ("total", "--range", "9..2"): (1, "", "bad range '9..2'\n"),
     ("total", "--n", "5000002"): (1, "", "n=5000002 would add up 10000001 pair sums, over the ceiling of 10000000\n"),
     ("verify", "--suite", "lev", "--trials", "0"): (1, "", "--trials must be at least 1, got 0\n"),
+    ("verify", "--suite", "all", "--trials", "10001"): (1, "", "--trials must be at most 10000, got 10001\n"),
     ("frobnicate",): (
         1, "", ROOT_USAGE + "sidonrainbow: error: argument command: invalid choice: 'frobnicate' "
         "(choose from 'total', 'rainbow', 'bounds', 'search', 'verify', 'sweep')\n",

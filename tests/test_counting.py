@@ -20,7 +20,7 @@ from sidonrainbow.counting import (
     non_rainbow_lower_bound,
     rainbow_via_energy,
 )
-from sidonrainbow.enumeration import SCAN_CEILING, total_quads_formula
+from sidonrainbow.enumeration import SCAN_CEILING, modular_count_formula, total_quads_formula
 
 
 def n_and_k(lo, hi):
@@ -322,9 +322,10 @@ def test_fast_counters_peak_per_n(count, domain, n, k, per_n):
 
 
 def test_cyclic_scan_size_counts_scanned_pairs():
+    # the scan visits each balanced pairing of Z_n once, so its tallies total |S(n)|
     for n in range(1, 40):
         tallies = counting._naive_tallies(mod_coloring(n, 1, Domain.CYCLIC), cyclic=True)
-        assert counting._cyclic_scan_size(n) == sum(tallies)
+        assert modular_count_formula(n) == sum(tallies)
 
 
 def test_cyclic_scan_size_matches_residue_tally():
@@ -333,7 +334,7 @@ def test_cyclic_scan_size_matches_residue_tally():
         doubles = [0] * n
         for a in range(n):
             doubles[2 * a % n] += 1
-        assert counting._cyclic_scan_size(n) == sum(comb((n - d) // 2, 2) for d in doubles)
+        assert modular_count_formula(n) == sum(comb((n - d) // 2, 2) for d in doubles)
 
 
 class Unread:
@@ -353,13 +354,13 @@ def test_naive_scans_check_the_ceiling(monkeypatch):
         enumeration._check_scan(SCAN_CEILING + 1, "a scan over the ceiling")
     # the benchmark's naive scans at n = 240 stay under the ceiling
     assert total_quads_formula(240) <= SCAN_CEILING
-    assert counting._cyclic_scan_size(240) <= SCAN_CEILING
+    assert modular_count_formula(240) <= SCAN_CEILING
     flat = next(n for n in range(4, 10**4) if total_quads_formula(n) > SCAN_CEILING)
     with pytest.raises(ValueError, match=f"{total_quads_formula(flat)} quads.*{SCAN_CEILING}"):
         count_rainbow_naive(Unread(Domain.INTERVAL, flat))
-    cyc = next(n for n in range(4, 10**4) if counting._cyclic_scan_size(n) > SCAN_CEILING)
+    cyc = next(n for n in range(4, 10**4) if modular_count_formula(n) > SCAN_CEILING)
     monkeypatch.setattr(counting, "np", None)  # the check comes before any array
-    with pytest.raises(ValueError, match=f"{counting._cyclic_scan_size(cyc)} quads.*{SCAN_CEILING}"):
+    with pytest.raises(ValueError, match=f"{modular_count_formula(cyc)} quads.*{SCAN_CEILING}"):
         count_rainbow_cyclic_naive(Unread(Domain.CYCLIC, cyc))
 
 

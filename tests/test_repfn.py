@@ -215,6 +215,12 @@ def test_energy4_matches_fold(alpha):
     assert closed_energy4_interval(alpha) == additive_energy([J, J, J, J])
 
 
+def test_energy4_is_the_sum_of_squared_one_interval_counts():
+    # the right side of check_energy_dominance, sum_{|m| <= 2q} r_{J+J}(m)^2
+    for q in range(1, 101):
+        assert closed_energy4_interval(q) == sum(closed_rep_one_interval(q, m) ** 2 for m in range(-2 * q, 2 * q + 1))
+
+
 def test_sum_dominance_examples():
     assert check_sum_dominance(1, 1, 1, 1, 0)
     assert check_sum_dominance(1, 1, 3, 3, 2)
