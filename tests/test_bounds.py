@@ -15,7 +15,22 @@ from sidonrainbow.bounds import (
 )
 from sidonrainbow.counting import count_rainbow_fast, count_rainbow_naive
 from sidonrainbow.core import mod_coloring, random_coloring
-from sidonrainbow.enumeration import total_quads_formula
+from sidonrainbow.enumeration import enumerate_modular_quads, total_quads_formula
+
+
+def test_theta_parity():
+    # theta = k^2 (c_k - 1/12 + 1/(3k)) is 1/3 for even k and 1/4 for odd k
+    def theta(k):
+        return (lb_coefficient(k) - Fraction(1, 12) + Fraction(1, 3 * k)) * k**2
+
+    assert theta(8) == Fraction(1, 3) and theta(9) == Fraction(1, 4)
+
+
+def test_lb_coefficient_is_modular_density():
+    # the construction realizes 2|S(k)| of the 3k^3 split patterns per sum,
+    # |S(k)| counted here by the direct residue scan, not the closed form
+    for k in range(4, 41):
+        assert lb_coefficient(k) == Fraction(2 * len(enumerate_modular_quads(k)), 3 * k**3)
 
 
 def test_lb_coefficient_is_the_papers_expansion():
