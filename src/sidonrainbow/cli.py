@@ -22,8 +22,9 @@ from fractions import Fraction
 import numpy as np
 
 from .bounds import bounds_report, lb_coefficient, report_to_json, report_to_text, ub_general_coefficient
-from .core import Domain, mod_coloring, parse_coloring_lines, random_coloring
+from .core import Domain, _check_family, mod_coloring, parse_coloring_lines, random_coloring
 from .counting import (
+    _check_headroom,
     count_rainbow_cyclic_fast,
     count_rainbow_cyclic_naive,
     count_rainbow_fast,
@@ -270,6 +271,12 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if all(ok for _, ok in checks) else EXIT_MISMATCH
 
 
+# The most summed n one sweep may count: at the ceiling one k = 4 count takes
+# 1.9 s (mod) to 2.5 s (random) on a 2-vCPU x86 host (numpy 2.4), and the
+# benchmark's three n sum to 12,000. A count's time also grows with k.
+MAX_SWEEP_N = 1_000_000
+
+
 def _cmd_sweep(args) -> int:
     try:
         ns = [int(part) for part in args.n_list.split(",") if part.strip()]
@@ -278,14 +285,19 @@ def _cmd_sweep(args) -> int:
     if not ns:
         raise ValueError("empty n-list")
     k = args.k
+    # the limits for the whole list, checked before the first count
+    for n in ns:
+        _check_family(n, k, surjective=args.coloring == "mod")
+        _check_headroom(n)
+    if sum(ns) > MAX_SWEEP_N:
+        raise ValueError(f"the n-list sums to {sum(ns)}, over the ceiling of {MAX_SWEEP_N}")
+    lb, ub = lb_coefficient(k), ub_general_coefficient(k)
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(("n", "k", "coloring", "rainbow", "total", "ratio", "lb_coeff", "ub_coeff"))
     for n in ns:
         c = mod_coloring(n, k) if args.coloring == "mod" else random_coloring(n, k, args.seed)
         rainbow = count_rainbow_fast(c)
-        # after the coloring, which rejects k < 1 before these divide by k
-        lb, ub = lb_coefficient(k), ub_general_coefficient(k)
         ratio = f"{float(Fraction(rainbow, n**3)):.8f}"
         writer.writerow(
             (n, k, args.coloring, rainbow, total_quads_formula(n), ratio,

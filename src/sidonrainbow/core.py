@@ -132,20 +132,27 @@ def make_quad(a: int, b: int, c: int, d: int, n: int) -> Optional[SidonQuad]:
     return SidonQuad(x1, x2, x3, x4)
 
 
+def _check_family(n: int, k: int, surjective: bool) -> None:
+    """Refuse an (n, k) outside a coloring family: n >= k >= 1 for a surjective
+    one such as mod_coloring, n >= 1 and k >= 1 otherwise."""
+    if surjective and not 1 <= k <= n:
+        raise ValueError(f"need n >= k >= 1, got n={n}, k={k}")
+    if n < 1 or k < 1:
+        raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+
+
 def mod_coloring(n: int, k: int, domain: Domain = Domain.INTERVAL) -> Coloring:
     """The coloring c(i) = i mod k with residues renamed into {1..k}.
 
     Surjective by construction, hence requires n >= k.
     """
-    if not 1 <= k <= n:
-        raise ValueError(f"need n >= k >= 1, got n={n}, k={k}")
+    _check_family(n, k, surjective=True)
     return Coloring(domain, n, k, tuple((i - 1) % k + 1 for i in range(1, n + 1)))
 
 
 def random_coloring(n: int, k: int, seed: int, domain: Domain = Domain.INTERVAL) -> Coloring:
     """Uniform independent colors from {1..k}, deterministic in seed."""
-    if n < 1 or k < 1:
-        raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+    _check_family(n, k, surjective=False)
     rng = random.Random(seed)
     return Coloring(domain, n, k, tuple(rng.randint(1, k) for _ in range(n)))
 

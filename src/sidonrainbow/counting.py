@@ -11,10 +11,12 @@ Three independent interval-domain counters are kept deliberately separate:
                         size: about |X|^2 / 2 pairs in blocks of sqrt(8n)
                         rows (O(|X|^2) time) for small classes, and for
                         large ones an exact number-theoretic transform mod
-                        a prime (O(n log n)): two per class, and one per
-                        call for every large class's differences together;
-                        O(n) memory, 74 bytes per n for a random 4-coloring
-                        at n = 10^5;
+                        a prime (O(n log n)): for k large classes, k
+                        forward, ceil(k/2) backward carrying two classes'
+                        sums as the digits of Q_i + (|X_i| + 1) Q_j, and one
+                        for all their differences; no W_i array; O(n)
+                        memory, 65 bytes per n for a random 4-coloring at
+                        n = 10^5;
   rainbow_via_energy    for k = 4, three 4-fold additive energies with the
                         second side negated.
 
@@ -114,12 +116,13 @@ def count_rainbow_naive(c: Coloring) -> ClassBreakdown:
 
 
 def _classes(c: Coloring) -> dict[int, np.ndarray]:
-    """Each occurring color's class, a sorted int64 array; nothing is sized by k."""
+    """Each occurring color's class, a sorted int32 array; nothing is sized by k."""
     colors = np.array(c.colors, dtype=object if c.k >> 63 else np.int64)
     order = np.argsort(colors, kind="stable")
     colors = colors[order]
-    cuts = np.flatnonzero(colors[1:] != colors[:-1]) + 1
-    return dict(zip(colors[np.append(0, cuts)].tolist(), np.split(order + 1, cuts)))
+    cuts = [0, *(np.flatnonzero(colors[1:] != colors[:-1]) + 1).tolist(), len(order)]
+    members = np.add(order, 1, dtype=np.int32)
+    return {key: members[a:b] for key, a, b in zip(colors[cuts[:-1]].tolist(), cuts, cuts[1:])}
 
 
 # A block of rows holds at most this many int64 pair entries (8 MiB).
@@ -144,6 +147,7 @@ def _pair_histograms(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     O(n) bincounts, each costing about n pair entries: r = sqrt(8n) balances
     |x| * r / 2 against 4n * |x| / r (sqrt(4n) timed 4-8% slower at n = 2000..5000).
     """
+    x = x.astype(np.int64)  # bincount would widen each block of int32 pairs
     width = 2 * n + 1
     sums, diffs = np.zeros(width, dtype=np.int64), np.zeros(width, dtype=np.int64)
     rows = max(1, min(_BLOCK // max(len(x), 1), isqrt(8 * n)))
@@ -161,8 +165,9 @@ def _pair_histograms(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 # The transform engine works modulo _P = 119 * 2**23 + 1, a prime whose
 # multiplicative group 3 generates: it holds a primitive root of unity of every
 # power-of-two length up to 2**23. Every slot it computes counts at most n
-# pairs, and n <= _MAX_N < _P, so each residue is the count itself; a class's
-# sums and differences take 2n - 1 slots, so the length never wraps.
+# pairs, and n <= _MAX_N < _P, so each residue is the count itself (two classes
+# share a backward transform only where _packs keeps their packed slots under
+# _P); a class's sums and differences take 2n - 1 slots, so the length never wraps.
 _P = 998_244_353
 assert _MAX_N < _P
 assert 2 * _MAX_N - 1 <= 2**23
@@ -288,20 +293,15 @@ def _read_cyclic(out: np.ndarray, y: np.ndarray) -> None:
         out[k : k + len(y)] = y[: len(out) - k]
 
 
-def _transform_sums(x: np.ndarray, n: int, roots: np.ndarray, acc: np.ndarray) -> np.ndarray:
-    """Q(l) = #{(a, b) in x^2 : a + b = l} at index l = 0..2n, int64, for the
-    sorted class x of [n]: one forward transform of its indicator a (a(j - 1)
-    = 1 for j in x), squared pointwise and transformed back. A(j) A(-j), the
+def _forward_square(x: np.ndarray, roots: np.ndarray, acc: np.ndarray) -> np.ndarray:
+    """A(j)^2 in bit-reversed order, for A the forward transform of the sorted
+    class x's indicator a (a(j - 1) = 1 for j in x); A(j) A(-j), the
     transform of the class's differences, is added to acc on the way.
 
     In bit-reversed order position 0 holds A(0), and each block [2^s, 2^(s+1))
     holds A(j) for the j of one 2-adic valuation, where A(-j) sits at the
     mirror position. The indicator holds c with c^2 = 1/L, so that both
     products come back unscaled.
-
-    The result is read cyclically from the backward transform, so a transform
-    shorter than the 2n - 1 slots reads some of them twice; Q must sum to
-    |x|^2, or OverflowError is raised.
     """
     length = 2 * len(roots)
     a = np.zeros(length, dtype=np.uint32)
@@ -320,14 +320,43 @@ def _transform_sums(x: np.ndarray, n: int, roots: np.ndarray, acc: np.ndarray) -
             np.minimum(u, m, out=u)
     for sq in a.reshape(-1, len(b)):
         _mulmod(sq, sq, sq, b, t)
-    _transform(a, roots, scratch, forward=False)
-    del scratch, b, t, s
+    return a
+
+
+def _packs(i: int, j: int) -> bool:
+    """Whether one backward transform carries classes of sizes i and j: a slot
+    of Q_i counts at most i pairs and one of Q_j at most j, so every packed
+    slot Q_i + (i + 1) Q_j is at most (i + 1) j + i, which must stay under _P."""
+    return (i + 1) * j + i < _P
+
+
+def _backward(roots: np.ndarray, y: np.ndarray, z: np.ndarray | None = None, c: int = 0) -> None:
+    """Transforms the squared spectrum y back in place. With a second one, z,
+    y + c z goes back instead, and its residues Q_y + c Q_z, each Q_y < c,
+    are split in place: Q_y into y and Q_z into z."""
+    scratch = b, t, s = _scratch(len(y))
+    if z is not None:
+        for u, v in zip(y.reshape(-1, len(b)), z.reshape(-1, len(b))):
+            _mulmod(v, c, s, b, t)
+            u += s
+            np.subtract(u, _P, out=s)
+            np.minimum(u, s, out=u)
+    _transform(y, roots, scratch, forward=False)
+    if z is not None:
+        np.divmod(y, c, out=(z, y))
+
+
+def _read_sums(y: np.ndarray, n: int, size: int) -> np.ndarray:
+    """Q(l) = #{(a, b) in x^2 : a + b = l} at index l = 0..2n, int64, for a
+    class x of [n] of `size` members, read cyclically from the backward
+    transform y of its squared spectrum: a transform shorter than the 2n - 1
+    slots reads some twice, so Q must sum to size^2, or OverflowError is raised.
+    """
     q = np.zeros(2 * n + 1, dtype=np.int64)
-    q[2] = a[0]
-    _read_cyclic(q[3:], a[::-1])
-    del a
-    if int(q.sum()) != len(x) ** 2:
-        raise OverflowError(f"a transform of length {length} wrapped the sums of a class of {len(x)}")
+    q[2] = y[0]
+    _read_cyclic(q[3:], y[::-1])
+    if int(q.sum()) != size**2:
+        raise OverflowError(f"a transform of length {len(y)} wrapped the sums of a class of {size}")
     return q
 
 
@@ -357,7 +386,9 @@ _CROSSOVER = 25
 
 def _fold(v: np.ndarray, n: int) -> np.ndarray:
     """A histogram indexed 0..2n reduced to residues mod n."""
-    return np.pad(v, (0, n - 1)).reshape(3, n).sum(axis=0)
+    r = v[:n] + v[n : 2 * n]
+    r[0] += v[2 * n]
+    return r
 
 
 def _rainbow_from_histograms(c: Coloring, cyclic: bool) -> int:
@@ -368,45 +399,64 @@ def _rainbow_from_histograms(c: Coloring, cyclic: bool) -> int:
     to l and W_i(l) the x in X_i with l - x in the domain. Same-colored x + y
     = x' + y' means x - x' = y' - y, so sum_{i != j} P_ij^2 = sum_d D(d)^2 -
     sum_i Q_i^2 for same-color differences D. Z_n: mod n, F = n, W_i = |X_i|.
+
+    R_i^2 = W_i^2 - 2 W_i Q_i + Q_i^2 summed needs no W_i array: sum_l W_i^2 =
+    sum_{x, y in X_i} (n - |x - y|), and sum_l W_i Q_i = sum_{x in X_i}
+    (C(x + n) - C(x)) for C(l) = Q_i(0) + ... + Q_i(l).
     """
     n = c.n
     if c.k < 4:
         return 0
     _check_headroom(n)
-    s = np.full(n, n) if cyclic else (n - np.abs(np.arange(-n - 1, n))).clip(0)
+    # every slot of S is at most n: int32 until S . S
+    s = np.full(n, n, dtype=np.int32) if cyclic else (n - np.abs(np.arange(-n - 1, n, dtype=np.int32))).clip(0)
     length = 2 << (n - 1).bit_length()  # twice the smallest power of two >= n: at least 2n - 1
-    # D of the pair-engine classes in d, and of the transform classes in acc,
-    # each made only once a class needs it
-    d = acc = None
-    r_sq = q_sq = pairs = 0
+    r_sq = q_sq = 0
+
+    def account(x: np.ndarray, q: np.ndarray) -> None:
+        # S, sum Q_i^2 and sum R_i^2 take the class's Q, fresh from its engine
+        nonlocal r_sq, q_sq
+        m = len(x)
+        q = _fold(q, n) if cyclic else q
+        np.subtract(s, q, out=s)
+        qq = int(np.dot(q, q))
+        if cyclic:
+            w_sq, wq = n * m * m, m**3
+        else:
+            w_sq = n * m * m - 2 * int(np.dot(x, np.arange(1 - m, m, 2)))
+            np.add.accumulate(q, out=q)  # q turns into C
+            wq = int(np.add.reduce(q.take(x + n) - q.take(x)))
+        q_sq += qq
+        r_sq += w_sq - 2 * wq + qq
+
+    # D of the pair-engine classes in d, and of the transform classes in acc
+    d, big = None, []
     for x in _classes(c).values():
         if len(x) ** 2 > _CROSSOVER * (length + 2**13):
-            if acc is None:
-                roots, acc = _roots(length), np.zeros(length, dtype=np.uint32)
-            q = _transform_sums(x, n, roots, acc)
-            pairs += len(x) ** 2
-        else:
-            q, diffs = _pair_histograms(x, n)
-            d = diffs if d is None else np.add(d, diffs, out=d)
-            del diffs
-        if cyclic:
-            q, w = _fold(q, n), len(x)
-        else:
-            # W_i(l) = below[l] - below[l - n] for below[l] = #{x < l}, 0 at l = 0
-            w = np.bincount(x + 1, minlength=2 * n + 1)
-            np.cumsum(w, out=w)
-            w[n + 1 :] -= w[1 : n + 1]
-        s -= q
-        q_sq += int(q @ q)
-        np.subtract(w, q, out=q)  # q, fresh from its engine, turns into R_i = W_i - Q_i
-        r_sq += int(q @ q)
-        del q, w  # neither runs beside the next class's engine
-    if acc is not None:
+            big.append(x)
+            continue
+        q, diffs = _pair_histograms(x, n)
+        d = diffs if d is None else np.add(d, diffs, out=d)
+        del diffs
+        account(x, q)
+        del q  # before the next class's engine
+    if big:
+        roots, acc = _roots(length), np.zeros(length, dtype=np.uint32)
+        pairs = sum(len(x) ** 2 for x in big)
+        while big:
+            # two classes to a backward transform where their digits fit
+            group = big[:2] if len(big) > 1 and _packs(len(big[0]), len(big[1])) else big[:1]
+            del big[: len(group)]
+            spectra = [_forward_square(x, roots, acc) for x in group]
+            _backward(roots, *spectra, c=len(group[0]) + 1)
+            for x in group:
+                account(x, _read_sums(spectra.pop(0), n, len(x)))
         diffs = _transform_differences(n, roots, acc, pairs)
         del acc, roots
         d = diffs if d is None else np.add(d, diffs, out=d)
         del diffs
     d = _fold(d, n) if cyclic else d
+    s = s.astype(np.int64)
     return (int(s @ s) - 4 * r_sq + 2 * (int(d @ d) - q_sq)) // 8
 
 

@@ -337,6 +337,14 @@ def _climb(cols: np.ndarray, k: int, move_budget: int) -> tuple[int, int]:
     return count, moves
 
 
+# The most gain-table work one local search may plan: each start and each move
+# builds one table, costing k n^2 convolution steps plus a fixed 2**15 for its
+# numpy calls (about 6 ns a step and 0.15 ms a table on a 2-vCPU x86 host,
+# numpy 2.4). The tables the ceiling allows took 2.2 to 2.9 s to build at
+# n = 12 to 494 and k = 4 or 32.
+MAX_CLIMB_WORK = 500_000_000
+
+
 def local_search(
     n: int, k: int, seed: int, restarts: int, max_moves: int
 ) -> SearchResult:
@@ -356,6 +364,12 @@ def local_search(
         raise ValueError("move budget must be nonnegative")
     # the scan ceiling bounds the gain-table work per move, O(k n^2)
     _check_scan(total_quads_formula(n), f"a local search at n={n}")
+    work = (restarts + max_moves) * (k * n * n + 2**15)
+    if work > MAX_CLIMB_WORK:
+        raise ValueError(
+            f"{restarts} starts and {max_moves} moves at n={n}, k={k} would take up to "
+            f"{work} gain-table steps, over the ceiling of {MAX_CLIMB_WORK}"
+        )
     best_count, best_cols, budget_left = -1, None, max_moves
     for r in range(restarts):
         start = random_coloring(n, k, seed + r) if r else mod_coloring(n, k)

@@ -451,6 +451,11 @@ FAILURES = {
     ("search", "--n", "600", "--k", "4", "--local"): (
         1, "", "a local search at n=600 would scan 17865250 quads, over the ceiling of 10000000\n",
     ),
+    # one gain table a start and a move, each k n^2 + 2^15 steps
+    ("search", "--n", "200", "--k", "4", "--local", "--restarts", "10000000"): (
+        1, "", "10000000 starts and 1000 moves at n=200, k=4 would take up to 1927872768000 gain-table steps, "
+        "over the ceiling of 500000000\n",
+    ),
     ("search", "--n", "5", "--k", "4", "--exhaustive", "--out", "/nonexistent/x.json"): (
         1, "2\n", f"cannot write /nonexistent/x.json: {NO_FILE}: '/nonexistent/x.json'\n",
     ),
@@ -476,6 +481,16 @@ FAILURES = {
     ),
     ("sweep", "--k", "5", "--n-list", "50,3", "--coloring", "mod", "--out", "s.csv"): (
         1, "", "need n >= k >= 1, got n=3, k=5\n",
+    ),
+    # every n of the list is checked before the first count
+    ("sweep", "--k", "4", "--n-list", "1000000,3000000", "--coloring", "mod", "--out", "s.csv"): (
+        1, "", "n=3000000 is too large for int64 histogram sums: need n <= 2097151\n",
+    ),
+    ("sweep", "--k", "4", "--n-list", "600000,0", "--coloring", "random", "--out", "s.csv"): (
+        1, "", "need n >= 1 and k >= 1, got n=0, k=4\n",
+    ),
+    ("sweep", "--k", "4", "--n-list", "600000,400001", "--coloring", "random", "--out", "s.csv"): (
+        1, "", "the n-list sums to 1000001, over the ceiling of 1000000\n",
     ),
     ("sweep", "--k", "0", "--n-list", "8", "--coloring", "random", "--out", "s.csv"): (
         1, "", "need n >= 1 and k >= 1, got n=8, k=0\n",

@@ -183,8 +183,20 @@ def test_pair_histograms_form_half_the_square():
 def transform_histograms(x, n, length):
     """Both histograms of the class x from the transform engine, at a given length."""
     roots, acc = counting._roots(length), np.zeros(length, dtype=np.uint32)
-    q = counting._transform_sums(x, n, roots, acc)
+    y = counting._forward_square(x, roots, acc)
+    counting._backward(roots, y)
+    q = counting._read_sums(y, n, len(x))
     return q, counting._transform_differences(n, roots, acc, len(x) ** 2)
+
+
+def packed_sums(x, z, n, length):
+    """The digits, Q of the class x and Q of the class z in transform order,
+    that one backward transform of their packed spectra splits into, at a
+    given length."""
+    roots, acc = counting._roots(length), np.zeros(length, dtype=np.uint32)
+    y, w = counting._forward_square(x, roots, acc), counting._forward_square(z, roots, acc)
+    counting._backward(roots, y, w, c=len(x) + 1)
+    return y, w
 
 
 def transform_length(n):
@@ -243,15 +255,97 @@ def test_transform_engine_matches_naive(monkeypatch):
 def test_transform_wraparound_trips_the_sum_checks(n):
     # one power of two too short, the cyclic products wrap round; the window
     # of 2n - 1 slots then reads some slots twice
-    x = np.arange(1, n + 1, dtype=np.int64)
+    x = np.arange(1, n + 1, dtype=np.int32)
     length = transform_length(n) // 2
     roots, acc = counting._roots(length), np.zeros(length, dtype=np.uint32)
+    y = counting._forward_square(x, roots, acc)
+    counting._backward(roots, y)
     with pytest.raises(OverflowError, match=f"length {length} wrapped the sums of a class of {n}"):
-        counting._transform_sums(x, n, roots, acc)
+        counting._read_sums(y, n, n)
     with pytest.raises(OverflowError, match=f"length {length} wrapped the differences of classes of {n * n} pairs"):
         counting._transform_differences(n, roots, acc, n * n)
     q, d = transform_histograms(x, n, 2 * length)
     assert q.max() == d.max() == n
+
+
+@pytest.mark.parametrize("n", [32, 64, 100])
+def test_packed_wraparound_trips_both_digit_checks(n):
+    # the odd and the even members of [n], packed into one backward transform
+    # one power of two too short, where both classes' sums wrap round: each
+    # digit's own sum check raises
+    x, z = np.arange(1, n + 1, 2, dtype=np.int32), np.arange(2, n + 1, 2, dtype=np.int32)
+    length = transform_length(n) // 2
+    for digit, cls in zip(packed_sums(x, z, n, length), (x, z)):
+        with pytest.raises(OverflowError, match=f"length {length} wrapped the sums of a class of {len(cls)}"):
+            counting._read_sums(digit, n, len(cls))
+    for digit, cls in zip(packed_sums(x, z, n, 2 * length), (x, z)):
+        assert np.array_equal(counting._read_sums(digit, n, len(cls)), counting._pair_histograms(cls, n)[0])
+
+
+@given(st.integers(2, 300).flatmap(lambda n: st.tuples(st.just(n), st.lists(st.integers(0, 2), min_size=n, max_size=n))))
+@example((300, [0] * 150 + [1] * 150))
+@example((129, [0, 1] * 64 + [1]))
+@settings(max_examples=50, deadline=None)
+def test_packed_sums_match_pair_histograms(nz):
+    # a random split of [n] into two classes and the rest: both digits of
+    # one packed backward transform are the classes' own sum histograms
+    n, side = nz
+    x, z = (np.flatnonzero(np.array(side) == i).astype(np.int32) + 1 for i in (0, 1))
+    for digit, cls in zip(packed_sums(x, z, n, transform_length(n)), (x, z)):
+        assert np.array_equal(counting._read_sums(digit, n, len(cls)), counting._pair_histograms(cls, n)[0])
+
+
+@pytest.mark.parametrize("k", [4, 5, 8])
+@pytest.mark.parametrize("domain", [Domain.INTERVAL, Domain.CYCLIC])
+def test_transforms_per_call(monkeypatch, k, domain):
+    # every class on the transform engine: one forward transform a class, one
+    # backward a pair of classes (or the odd one out) and one for the differences
+    monkeypatch.setattr(counting, "_CROSSOVER", 0)
+    calls = {True: 0, False: 0}
+    transform = counting._transform
+
+    def counted(x, roots, scratch, forward):
+        calls[forward] += 1
+        transform(x, roots, scratch, forward)
+
+    monkeypatch.setattr(counting, "_transform", counted)
+    c = random_coloring(200, k, 1, domain)
+    assert len(counting._classes(c)) == k
+    count = count_rainbow_cyclic_fast if domain is Domain.CYCLIC else count_rainbow_fast
+    want = count_rainbow_cyclic_naive(c) if domain is Domain.CYCLIC else count_rainbow_naive(c).rainbow
+    assert count(c) == want
+    assert calls == {True: k, False: -(-k // 2) + 1}
+
+
+def test_unpacked_classes_count_the_same(monkeypatch):
+    # with no two classes fitting one backward transform, each goes alone
+    monkeypatch.setattr(counting, "_CROSSOVER", 0)
+    cases = [(random_coloring(n, k, 3, domain), domain) for n, k in ((150, 4), (97, 5)) for domain in Domain]
+    packed = [(count_rainbow_cyclic_fast if d is Domain.CYCLIC else count_rainbow_fast)(c) for c, d in cases]
+    backward = counting._backward
+
+    def alone_only(roots, y, *packed, c):
+        assert not packed
+        backward(roots, y, c=c)
+
+    monkeypatch.setattr(counting, "_packs", lambda i, j: False)
+    monkeypatch.setattr(counting, "_backward", alone_only)
+    alone = [(count_rainbow_cyclic_fast if d is Domain.CYCLIC else count_rainbow_fast)(c) for c, d in cases]
+    assert alone == packed
+    assert alone[0] == count_rainbow_naive(cases[0][0]).rainbow
+
+
+def test_packing_needs_both_digits_under_the_prime():
+    # Q_i < |X_i| + 1 and Q_j <= |X_j|: the largest residue is (i + 1) j + i
+    i = 31_600
+    j = (counting._P - 1 - i) // (i + 1)
+    assert counting._packs(i, j) and not counting._packs(i, j + 1)
+    assert (i + 1) * j + i < counting._P <= (i + 1) * (j + 1) + i
+    # any two disjoint classes of [n] pack up to n = 63188, where a(n - a) + n,
+    # largest at a = n / 2, stays under the prime
+    n = 63_188
+    assert all(counting._packs(a, n - a) for a in (1, n // 2 - 1, n // 2, n // 2 + 1, n - 1))
+    assert not counting._packs((n + 1) // 2, (n + 2) // 2)
 
 
 def test_counters_reject_wrong_domain():
@@ -308,6 +402,11 @@ def test_counters_cost_only_the_colors_that_occur():
         (count_rainbow_fast, Domain.INTERVAL, 10**5, 4, 100),
         (count_rainbow_cyclic_fast, Domain.CYCLIC, 8000, 8, 300),
         (count_rainbow_fast, Domain.INTERVAL, 20000, 4, 84),
+        # measured 78 and 167 bytes per n with two transform classes to a
+        # backward transform and S and the classes as int32; 77 and 178 with
+        # one class to a backward transform and int64 S, W_i and classes
+        (count_rainbow_fast, Domain.INTERVAL, 20000, 8, 80),
+        (count_rainbow_fast, Domain.INTERVAL, 10000, 16, 170),
     ],
 )
 def test_fast_counters_peak_per_n(count, domain, n, k, per_n):

@@ -83,3 +83,55 @@ def test_energy_ceiling(monkeypatch):
 
 def test_trials_ceiling():
     quoted(f"`--trials` is above {cli.MAX_TRIALS:,} (`cli.MAX_TRIALS`)")
+
+
+class Started(Exception):
+    pass
+
+
+def test_sweep_ceiling(monkeypatch):
+    # every n is checked before the first coloring is built
+    def start(*_):
+        raise Started
+
+    monkeypatch.setattr(cli, "mod_coloring", start)
+    monkeypatch.setattr(cli, "random_coloring", start)
+
+    def admitted(ns, coloring="random", k=4):
+        argv = ["sweep", "--k", str(k), "--n-list", ",".join(map(str, ns)), "--coloring", coloring, "--out", "-"]
+        try:
+            assert cli.main(argv) == 1  # refused, its message on stderr
+        except Started:
+            return True
+        return False
+
+    assert largest(lambda total: admitted([total]), 1) == cli.MAX_SWEEP_N
+    assert largest(lambda n: admitted([1, n, n]), 1) == (cli.MAX_SWEEP_N - 1) // 2
+    assert not admitted([4, counting._MAX_N + 1]) and not admitted([0])
+    assert admitted([8], "mod", 8) and not admitted([8, 7], "mod", 8)
+    quoted(
+        "`sweep` checks its whole `--n-list` before the first count",
+        f"at most {counting._MAX_N:,}, and the list sums to at most {cli.MAX_SWEEP_N:,} (`cli.MAX_SWEEP_N`)",
+    )
+
+
+def test_climb_work_ceiling(monkeypatch):
+    # the work formula alone decides: a climb that would start raises Started
+    def start(*_):
+        raise Started
+
+    monkeypatch.setattr(search, "mod_coloring", start)
+
+    def admitted(n, k, restarts, moves):
+        with pytest.raises((Started, ValueError)) as e:
+            search.local_search(n, k, 0, restarts, moves)
+        return e.type is Started
+
+    example = (8 + 10000) * (4 * 40**2 + 2**15)
+    assert admitted(40, 4, 8, 10000)
+    moves = largest(lambda m: admitted(40, 4, 8, m), 10000)
+    assert (8 + moves) * (4 * 40**2 + 2**15) <= search.MAX_CLIMB_WORK < (9 + moves) * (4 * 40**2 + 2**15)
+    quoted(
+        f"(restarts + moves)·(k·n^2 + 2^15) is more than {search.MAX_CLIMB_WORK:,} steps (`search.MAX_CLIMB_WORK`)",
+        f"the n = 40 example above plans {example:,} steps",
+    )

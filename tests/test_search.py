@@ -456,6 +456,20 @@ def test_local_search_checks_scan_ceiling(monkeypatch):
         local_search(n, 4, seed=0, restarts=1, max_moves=1)
 
 
+def test_local_search_checks_work_ceiling(monkeypatch):
+    # one gain table a start and a move, refused before the first is built
+    monkeypatch.setattr(search, "mod_coloring", lambda *a: pytest.fail("start built"))
+    monkeypatch.setattr(search, "_gain_table", lambda *a: pytest.fail("table built"))
+    for n, k, restarts, moves in ((200, 4, 10**7, 1000), (12, 4, 1, 10**6), (494, 32, 70, 0)):
+        work = (restarts + moves) * (k * n * n + 2**15)
+        assert work > search.MAX_CLIMB_WORK
+        with pytest.raises(ValueError, match=f"would take up to {work} gain-table steps, over the ceiling"):
+            local_search(n, k, seed=0, restarts=restarts, max_moves=moves)
+    # the README's example and the largest climb pinned above stay admitted
+    assert (8 + 10000) * (4 * 40**2 + 2**15) <= search.MAX_CLIMB_WORK
+    assert (2 + 30) * (4 * 200**2 + 2**15) <= search.MAX_CLIMB_WORK
+
+
 def test_local_search_rejects_bad_args():
     with pytest.raises(ValueError):
         local_search(10, 3, seed=0, restarts=1, max_moves=10)
