@@ -24,6 +24,7 @@ import numpy as np
 from .bounds import bounds_report, lb_coefficient, report_to_json, report_to_text, ub_general_coefficient
 from .core import Domain, _check_family, mod_coloring, parse_coloring_lines, random_coloring
 from .counting import (
+    _check_classes,
     _check_headroom,
     count_rainbow_cyclic_fast,
     count_rainbow_cyclic_naive,
@@ -273,7 +274,8 @@ def _cmd_verify(args) -> int:
 
 # The most summed n one sweep may count: at the ceiling one k = 4 count takes
 # 1.9 s (mod) to 2.5 s (random) on a 2-vCPU x86 host (numpy 2.4), and the
-# benchmark's three n sum to 12,000. A count's time also grows with k.
+# benchmark's three n sum to 12,000. A count's time also grows with k, which
+# counting.CLASS_N_CEILING bounds for each n.
 MAX_SWEEP_N = 1_000_000
 
 
@@ -289,6 +291,7 @@ def _cmd_sweep(args) -> int:
     for n in ns:
         _check_family(n, k, surjective=args.coloring == "mod")
         _check_headroom(n)
+        _check_classes(min(k, n), n)
     if sum(ns) > MAX_SWEEP_N:
         raise ValueError(f"the n-list sums to {sum(ns)}, over the ceiling of {MAX_SWEEP_N}")
     lb, ub = lb_coefficient(k), ub_general_coefficient(k)

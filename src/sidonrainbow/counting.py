@@ -1,6 +1,6 @@
 """Classify and count Sidon 4-sets under a coloring.
 
-Three independent interval-domain counters are kept deliberately separate:
+Three interval-domain counters are kept separate, each by its own identity:
 
   count_rainbow_naive   classifies every quad (the ground-truth oracle),
                         one pair-sum bucket at a time, by comparing the
@@ -16,9 +16,12 @@ Three independent interval-domain counters are kept deliberately separate:
                         sums as the digits of Q_i + (|X_i| + 1) Q_j, and one
                         for all their differences; no W_i array; O(n)
                         memory, 65 bytes per n for a random 4-coloring at
-                        n = 10^5;
+                        n = 10^5; both engines cost O(n) a class, so the
+                        classes that occur times n is bounded;
   rainbow_via_energy    for k = 4, three 4-fold additive energies with the
-                        second side negated.
+                        second side negated, as dot products of the sums of
+                        two color classes from the same transform (four
+                        forward, six backward; 96 bytes per n at n = 10^5).
 
 The cyclic (Z_n) counters follow the same routes with every sum and
 difference read mod n and the pairing treated as part of the solution.
@@ -32,7 +35,6 @@ import numpy as np
 
 from .core import ClassBreakdown, Coloring, Domain
 from .enumeration import _check_scan, f_n_exact, modular_count_formula, total_quads_formula
-from .repfn import IntSet, additive_energy, negate_set
 
 
 # Entries of one block of outer comparisons in the naive scans: buckets are
@@ -136,6 +138,22 @@ _MAX_N = 2_097_151
 def _check_headroom(n: int) -> None:
     if n > _MAX_N:
         raise ValueError(f"n={n} is too large for int64 histogram sums: need n <= {_MAX_N}")
+
+
+# The most (color classes that occur) * n one fast count may take: each class
+# costs O(n) however small, and a large one a transform of length 2n to 4n. On
+# a 2-vCPU x86 host (numpy 2.4) the counts it admits took at most 0.2 s at
+# n = 2 * 10^4 (k <= 420), 1.6 s at n = 10^5 (k <= 84, slowest at k = 42, near
+# the crossover) and 3.8 s at n = 10^6 (k = 8); four classes pass up to _MAX_N
+# (4.2 s).
+CLASS_N_CEILING = 8_400_000
+
+
+def _check_classes(classes: int, n: int) -> None:
+    if classes * n > CLASS_N_CEILING:
+        raise ValueError(
+            f"{classes} color classes times n={n} is {classes * n}, over the ceiling of {CLASS_N_CEILING}"
+        )
 
 
 def _pair_histograms(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -293,21 +311,28 @@ def _read_cyclic(out: np.ndarray, y: np.ndarray) -> None:
         out[k : k + len(y)] = y[: len(out) - k]
 
 
-def _forward_square(x: np.ndarray, roots: np.ndarray, acc: np.ndarray) -> np.ndarray:
-    """A(j)^2 in bit-reversed order, for A the forward transform of the sorted
-    class x's indicator a (a(j - 1) = 1 for j in x); A(j) A(-j), the
-    transform of the class's differences, is added to acc on the way.
-
-    In bit-reversed order position 0 holds A(0), and each block [2^s, 2^(s+1))
-    holds A(j) for the j of one 2-adic valuation, where A(-j) sits at the
-    mirror position. The indicator holds c with c^2 = 1/L, so that both
-    products come back unscaled.
-    """
+def _spectrum(x: np.ndarray, roots: np.ndarray, scratch: list[np.ndarray]) -> np.ndarray:
+    """A in bit-reversed order, the forward transform of the sorted class x's
+    indicator a (a(j - 1) = 1 for j in x). The indicator holds c with c^2 =
+    1/L, so that a product of two spectra comes back unscaled."""
     length = 2 * len(roots)
     a = np.zeros(length, dtype=np.uint32)
     a[x - 1] = pow(_ROOT2, 1 - length.bit_length(), _P)
-    scratch = b, t, s = _scratch(length)
     _transform(a, roots, scratch, forward=True)
+    return a
+
+
+def _forward_square(x: np.ndarray, roots: np.ndarray, acc: np.ndarray) -> np.ndarray:
+    """A(j)^2 in bit-reversed order, for A the class x's _spectrum; A(j) A(-j),
+    the transform of the class's differences, is added to acc on the way.
+
+    In bit-reversed order position 0 holds A(0), and each block [2^s, 2^(s+1))
+    holds A(j) for the j of one 2-adic valuation, where A(-j) sits at the
+    mirror position.
+    """
+    length = 2 * len(roots)
+    scratch = b, t, s = _scratch(length)
+    a = _spectrum(x, roots, scratch)
     # a block [lo, 2lo) against its mirror; position 0 is its own mirror
     for lo, hi in [(0, 1)] + [(1 << i, 2 << i) for i in range(length.bit_length() - 1)]:
         mirror = a[lo:hi][::-1]
@@ -346,17 +371,19 @@ def _backward(roots: np.ndarray, y: np.ndarray, z: np.ndarray | None = None, c: 
         np.divmod(y, c, out=(z, y))
 
 
-def _read_sums(y: np.ndarray, n: int, size: int) -> np.ndarray:
-    """Q(l) = #{(a, b) in x^2 : a + b = l} at index l = 0..2n, int64, for a
-    class x of [n] of `size` members, read cyclically from the backward
-    transform y of its squared spectrum: a transform shorter than the 2n - 1
-    slots reads some twice, so Q must sum to size^2, or OverflowError is raised.
+def _read_sums(y: np.ndarray, n: int, size: int, other: int | None = None) -> np.ndarray:
+    """P(l) = #{(a, b) in x * z : a + b = l} at index l = 0..2n, int64, for
+    classes x and z of [n] of `size` and `other` members (by default z = x,
+    whose P is Q), read cyclically from the backward transform y of their
+    spectra's product: a transform shorter than the 2n - 1 slots reads some twice, so P
+    must sum to size * other, or OverflowError is raised.
     """
     q = np.zeros(2 * n + 1, dtype=np.int64)
     q[2] = y[0]
     _read_cyclic(q[3:], y[::-1])
-    if int(q.sum()) != size**2:
-        raise OverflowError(f"a transform of length {len(y)} wrapped the sums of a class of {size}")
+    if int(q.sum()) != size * (size if other is None else other):
+        which = f"a class of {size}" if other is None else f"classes of {size} and {other}"
+        raise OverflowError(f"a transform of length {len(y)} wrapped the sums of {which}")
     return q
 
 
@@ -408,6 +435,8 @@ def _rainbow_from_histograms(c: Coloring, cyclic: bool) -> int:
     if c.k < 4:
         return 0
     _check_headroom(n)
+    classes = _classes(c)
+    _check_classes(len(classes), n)
     # every slot of S is at most n: int32 until S . S
     s = np.full(n, n, dtype=np.int32) if cyclic else (n - np.abs(np.arange(-n - 1, n, dtype=np.int32))).clip(0)
     length = 2 << (n - 1).bit_length()  # twice the smallest power of two >= n: at least 2n - 1
@@ -431,7 +460,7 @@ def _rainbow_from_histograms(c: Coloring, cyclic: bool) -> int:
 
     # D of the pair-engine classes in d, and of the transform classes in acc
     d, big = None, []
-    for x in _classes(c).values():
+    for x in classes.values():
         if len(x) ** 2 > _CROSSOVER * (length + 2**13):
             big.append(x)
             continue
@@ -471,21 +500,31 @@ def rainbow_via_energy(c: Coloring) -> int:
     """Rainbow count for a 4-coloring as a sum of three additive energies.
 
     Each rainbow quad has its color set {1,2,3,4} split across the two sides
-    in one of three ways; the energy E_4(X_a, X_b, -X_c, -X_d) counts exactly
-    the quads split as {a,b} vs {c,d}. Classes being disjoint keeps the four
-    tuple entries distinct, so no degenerate tuples are counted.
+    in one of three ways; the energy E_4(X_a, X_b, -X_c, -X_d) = sum_l
+    P_ab(l) P_cd(l) counts exactly the quads split as {a,b} vs {c,d}, for P_ab
+    the sums of X_a x X_b, sent back from the product of two class spectra.
+    Classes being disjoint keeps the four tuple entries distinct, so no
+    degenerate tuples are counted.
     """
     if c.domain is not Domain.INTERVAL:
         raise ValueError("rainbow_via_energy expects an interval coloring")
     if c.k != 4:
         raise ValueError(f"energy route needs exactly 4 colors, got k={c.k}")
-    classes = _classes(c)
-    X = [IntSet(classes[i].tolist() if i in classes else ()) for i in range(1, 5)]
-    negX = [negate_set(x) for x in X]
-    total = 0
-    for a, b in (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))):
-        total += additive_energy([X[a[0]], X[a[1]], negX[b[0]], negX[b[1]]])
-    return total
+    _check_headroom(c.n)
+    found = _classes(c)
+    classes = [found.get(i, np.zeros(0, dtype=np.int32)) for i in range(1, 5)]
+    roots = _roots(2 << (c.n - 1).bit_length())
+    scratch = b, t, _ = _scratch(2 * len(roots))
+    spectra = [_spectrum(x, roots, scratch) for x in classes]
+
+    def profile(i: int, j: int) -> np.ndarray:
+        y = np.empty_like(spectra[i])
+        for u, v, w in zip(*(z.reshape(-1, len(b)) for z in (spectra[i], spectra[j], y))):
+            _mulmod(u, v, w, b, t)
+        _backward(roots, y)
+        return _read_sums(y, c.n, len(classes[i]), len(classes[j]))
+
+    return sum(int(profile(0, a) @ profile(*cd)) for a, cd in ((1, (2, 3)), (2, (1, 3)), (3, (1, 2))))
 
 
 def count_rainbow_cyclic_naive(c: Coloring) -> int:

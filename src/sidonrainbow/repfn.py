@@ -101,11 +101,6 @@ def interval_compress(size: int) -> IntSet:
     return _interval((size + 1) // 2)
 
 
-def negate_set(A: IntSet) -> IntSet:
-    """{-a : a in A}."""
-    return IntSet(-a for a in A.values)
-
-
 def _indicator(A: IntSet) -> tuple[int, np.ndarray]:
     lo = A.values[0]
     arr = np.zeros(A.values[-1] - lo + 1, dtype=np.int64)

@@ -90,6 +90,14 @@ def test_rainbow_all_prints_mismatch_when_a_route_is_off(capsys, monkeypatch, tm
     assert rc == 2 and out == want
 
 
+def test_energy_method_counts_a_large_coloring(capsys, tmp_path):
+    # the mod-4 coloring of n = 10^5, which the fast counter also counts as 20833333325000
+    path = coloring_file(tmp_path, mod_coloring(10**5, 4))
+    start = time.perf_counter()
+    assert run(capsys, "rainbow", "--coloring", path, "--method", "energy") == (0, "20833333325000\n", "")
+    assert time.perf_counter() - start < 2
+
+
 def test_rainbow_single_method(capsys, tmp_path):
     path = coloring_file(tmp_path, mod_coloring(12, 5))
     rc, out, _ = run(capsys, "rainbow", "--coloring", path, "--method", "fast")
@@ -448,8 +456,10 @@ FAILURES = {
     ("search", "--n", "4000", "--k", "4000", "--exhaustive"): (
         3, "", f"at least {ar_budget_states(4000)} canonical colorings exceed the budget of 1000000\n",
     ),
+    # the climb scans no quads: its work ceiling alone refuses
     ("search", "--n", "600", "--k", "4", "--local"): (
-        1, "", "a local search at n=600 would scan 17865250 quads, over the ceiling of 10000000\n",
+        1, "", "4 starts and 1000 moves at n=600, k=4 would take up to 1478659072 gain-table steps, "
+        "over the ceiling of 500000000\n",
     ),
     # one gain table a start and a move, each k n^2 + 2^15 steps
     ("search", "--n", "200", "--k", "4", "--local", "--restarts", "10000000"): (
@@ -468,8 +478,12 @@ FAILURES = {
     ("rainbow", "--coloring", "e35.jsonl", "--method", "energy"): (
         1, "35\n", "energy route needs exactly 4 colors, got k=5\n",
     ),
-    ("rainbow", "--coloring", "e4big.jsonl", "--method", "energy"): (
-        1, "", "an energy fold would take 59996100063 multiply-adds, over the ceiling of 4000000000\n",
+    ("rainbow", "--coloring", "e4huge.jsonl", "--method", "energy"): (
+        1, "", "n=2097152 is too large for int64 histogram sums: need n <= 2097151\n",
+    ),
+    # a fast count costs O(n) a color class that occurs
+    ("rainbow", "--coloring", "many.jsonl", "--method", "fast"): (
+        1, "", "421 color classes times n=20000 is 8420000, over the ceiling of 8400000\n",
     ),
     ("rainbow", "--coloring", "cyc.jsonl", "--method", "energy"): (
         1, "", "energy method applies to interval colorings only\n",
@@ -485,6 +499,9 @@ FAILURES = {
     # every n of the list is checked before the first count
     ("sweep", "--k", "4", "--n-list", "1000000,3000000", "--coloring", "mod", "--out", "s.csv"): (
         1, "", "n=3000000 is too large for int64 histogram sums: need n <= 2097151\n",
+    ),
+    ("sweep", "--k", "421", "--n-list", "400,20000", "--coloring", "random", "--out", "s.csv"): (
+        1, "", "421 color classes times n=20000 is 8420000, over the ceiling of 8400000\n",
     ),
     ("sweep", "--k", "4", "--n-list", "600000,0", "--coloring", "random", "--out", "s.csv"): (
         1, "", "need n >= 1 and k >= 1, got n=0, k=4\n",
@@ -512,15 +529,24 @@ FAILURES = {
 }
 
 
+# the input files of FAILURES, each written only for the rows that name it
+FAILURE_FILES = {
+    # 35 rainbow quads, then k = 5
+    "e35.jsonl": lambda: "".join(serialize_coloring(c) + "\n" for c in (mod_coloring(12, 4), mod_coloring(10, 5))),
+    "e4huge.jsonl": lambda: serialize_coloring(mod_coloring(2**21, 4)) + "\n",
+    "many.jsonl": lambda: serialize_coloring(mod_coloring(20000, 421)) + "\n",
+    "cyc.jsonl": lambda: serialize_coloring(mod_coloring(8, 4, Domain.CYCLIC)) + "\n",
+    "bad.jsonl": lambda: "{broken\n",
+}
+
+
 @pytest.mark.parametrize("argv", FAILURES, ids=lambda argv: " ".join(argv) or "(empty)")
 def test_cli_failure_paths(capsys, monkeypatch, tmp_path, argv):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal width
-    e35 = (mod_coloring(12, 4), mod_coloring(10, 5))  # 35 rainbow quads, then k = 5
-    (tmp_path / "e35.jsonl").write_text("".join(serialize_coloring(c) + "\n" for c in e35))
-    (tmp_path / "e4big.jsonl").write_text(serialize_coloring(mod_coloring(10**5, 4)) + "\n")
-    (tmp_path / "cyc.jsonl").write_text(serialize_coloring(mod_coloring(8, 4, Domain.CYCLIC)) + "\n")
-    (tmp_path / "bad.jsonl").write_text("{broken\n")
+    for name, text in FAILURE_FILES.items():
+        if name in argv:
+            (tmp_path / name).write_text(text())
     files = set(tmp_path.iterdir())
     start = time.perf_counter()
     assert run(capsys, *argv) == FAILURES[argv]

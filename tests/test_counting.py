@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sidonrainbow import counting, enumeration
+from sidonrainbow import counting, enumeration, repfn
 from sidonrainbow.core import ClassBreakdown, Coloring, Domain, make_quad, mod_coloring, random_coloring
 from sidonrainbow.counting import (
     count_rainbow_cyclic_fast,
@@ -21,6 +21,7 @@ from sidonrainbow.counting import (
     rainbow_via_energy,
 )
 from sidonrainbow.enumeration import SCAN_CEILING, modular_count_formula, total_quads_formula
+from sidonrainbow.repfn import IntSet, additive_energy
 
 
 def n_and_k(lo, hi):
@@ -101,6 +102,43 @@ def test_fast_matches_naive(nk, seed):
 def test_energy_matches_naive_k4(n, seed):
     c = random_coloring(n, 4, seed)
     assert rainbow_via_energy(c) == count_rainbow_naive(c).rainbow
+
+
+def energy_folds(c):
+    """The energy identity by additive_energy's own folds: the sum over the
+    three splits {a, b} | {p, q} of E_4(X_a, X_b, -X_p, -X_q)."""
+    sets = [IntSet(x for x in range(1, c.n + 1) if c.colors[x - 1] == i) for i in range(1, 5)]
+    neg = [IntSet(-x for x in s) for s in sets]
+    splits = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
+    return sum(additive_energy([sets[a], sets[b], neg[p], neg[q]]) for (a, b), (p, q) in splits)
+
+
+def unused_color(n, seed):
+    # a 4-coloring that leaves color seed % 4 + 1 unused
+    rng = random.Random(seed)
+    return Coloring(Domain.INTERVAL, n, 4, tuple(rng.choice([i for i in range(1, 5) if i != seed % 4 + 1]) for _ in range(n)))
+
+
+@pytest.mark.parametrize(
+    "c",
+    [random_coloring(n, 4, seed) for n in range(1, 9) for seed in range(8)]
+    + [random_coloring(n, 4, seed) for n, seed in ((9, 1), (64, 2), (65, 3), (500, 4), (1023, 5), (2000, 6))]
+    + [mod_coloring(2000, 4)]
+    + [unused_color(n, seed) for n, seed in ((8, 0), (300, 1), (2000, 2))],
+    ids=lambda c: f"n={c.n}",
+)
+def test_energy_route_matches_the_energy_folds(c):
+    assert rainbow_via_energy(c) == energy_folds(c)
+
+
+def test_energy_route_runs_without_the_folds(monkeypatch):
+    # counting takes nothing from repfn: the transform's cross-sum profiles alone
+    assert all(getattr(v, "__module__", None) != repfn.__name__ for v in vars(counting).values())
+    cases = [random_coloring(n, 4, 7) for n in (12, 300, 5000)] + [mod_coloring(10**5, 4), random_coloring(10**5, 4, 1)]
+    want = [count_rainbow_fast(c) for c in cases]
+    assert want[-2:] == [20833333325000, 7811742474458]
+    monkeypatch.setattr(repfn, "additive_energy", lambda sets: pytest.fail("energy fold used"))
+    assert [rainbow_via_energy(c) for c in cases] == want
 
 
 def test_energy_requires_four_colors():
@@ -295,6 +333,24 @@ def test_packed_sums_match_pair_histograms(nz):
         assert np.array_equal(counting._read_sums(digit, n, len(cls)), counting._pair_histograms(cls, n)[0])
 
 
+@pytest.mark.parametrize("n", [32, 64, 100])
+def test_cross_sums_match_and_wrap_like_a_class(n):
+    # the odd and the even members of [n]: the product of their spectra comes
+    # back as their cross sums, and one power of two too short it wraps round
+    x, z = np.arange(1, n + 1, 2, dtype=np.int32), np.arange(2, n + 1, 2, dtype=np.int32)
+    want = np.bincount(np.add.outer(x, z).ravel(), minlength=2 * n + 1)
+    for length in (transform_length(n), transform_length(n) // 2):
+        roots, scratch = counting._roots(length), counting._scratch(length)
+        y = counting._spectrum(x, roots, scratch)
+        counting._mulmod(y, counting._spectrum(z, roots, scratch), y, *scratch[:2])
+        counting._backward(roots, y)
+        if length < 2 * n - 1:
+            with pytest.raises(OverflowError, match=f"length {length} wrapped the sums of classes of {len(x)} and {len(z)}"):
+                counting._read_sums(y, n, len(x), len(z))
+        else:
+            assert np.array_equal(counting._read_sums(y, n, len(x), len(z)), want)
+
+
 @pytest.mark.parametrize("k", [4, 5, 8])
 @pytest.mark.parametrize("domain", [Domain.INTERVAL, Domain.CYCLIC])
 def test_transforms_per_call(monkeypatch, k, domain):
@@ -391,6 +447,19 @@ def test_counters_cost_only_the_colors_that_occur():
         assert got == want > 0 and peak < 64 * 1024
 
 
+def test_fast_counters_check_the_class_ceiling(monkeypatch):
+    # classes that occur, times n: refused before either engine starts
+    monkeypatch.setattr(counting, "_pair_histograms", lambda x, n: pytest.fail("pair histograms used"))
+    monkeypatch.setattr(counting, "_roots", lambda length: pytest.fail("transform used"))
+    n = 20000
+    classes = counting.CLASS_N_CEILING // n + 1
+    for domain, count in ((Domain.INTERVAL, count_rainbow_fast), (Domain.CYCLIC, count_rainbow_cyclic_fast)):
+        # 10**6 colors of which `classes` occur
+        c = SimpleNamespace(domain=domain, n=n, k=10**6, colors=np.arange(n) % classes * 997 + 1)
+        with pytest.raises(ValueError, match=f"{classes} color classes times n={n} is {classes * n}, over the ceiling"):
+            count(c)
+
+
 @pytest.mark.parametrize(
     "count, domain, n, k, per_n",
     [
@@ -407,6 +476,9 @@ def test_counters_cost_only_the_colors_that_occur():
         # one class to a backward transform and int64 S, W_i and classes
         (count_rainbow_fast, Domain.INTERVAL, 20000, 8, 80),
         (count_rainbow_fast, Domain.INTERVAL, 10000, 16, 170),
+        # measured 96 bytes per n: four uint32 spectra of length 2.6 n, and
+        # two int64 sum profiles alive at the dot product
+        (rainbow_via_energy, Domain.INTERVAL, 10**5, 4, 100),
     ],
 )
 def test_fast_counters_peak_per_n(count, domain, n, k, per_n):

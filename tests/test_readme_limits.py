@@ -1,11 +1,13 @@
 """The limits that the README's CLI section quotes, recomputed from the
 constants and checks that enforce them, so the text cannot drift from the code."""
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from sidonrainbow import cli, counting, enumeration, repfn, search
-from sidonrainbow.core import mod_coloring
+from sidonrainbow import cli, counting, enumeration, search
+from sidonrainbow.core import Domain
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 # the prose after the CLI block, its line breaks read as spaces
@@ -61,32 +63,36 @@ def test_fast_counter_headroom():
     quoted(f"n = {counting._MAX_N:,} (`counting._MAX_N`")
 
 
-class Folded(Exception):
+class Started(Exception):
     pass
 
 
-def test_energy_ceiling(monkeypatch):
-    # the fold's work formula alone decides: a fold that would start raises Folded
-    def fold_starts(_):
-        raise Folded
+def test_class_ceiling(monkeypatch):
+    # the ceiling alone decides: a count that would reach an engine raises Started
+    def start(*_):
+        raise Started
 
-    monkeypatch.setattr(repfn, "_indicator", fold_starts)
+    monkeypatch.setattr(counting, "_pair_histograms", start)
+    monkeypatch.setattr(counting, "_roots", start)
 
-    def passes(n: int) -> bool:
-        with pytest.raises((Folded, ValueError)) as e:
-            counting.rainbow_via_energy(mod_coloring(n, 4))
-        return e.type is Folded
+    def admitted(n, k):
+        # the mod-k coloring's colors, without building a Coloring of n boxed ints
+        mod = SimpleNamespace(domain=Domain.INTERVAL, n=n, k=k, colors=np.arange(n) % k + 1)
+        with pytest.raises((Started, ValueError)) as e:
+            counting.count_rainbow_fast(mod)
+        return e.type is Started
 
-    assert passes(20000) and not passes(10**5)
-    quoted(f"more than {repfn.ENERGY_CEILING:,} multiply-adds", "passes at n = 20000 and not at n = 10^5")
+    assert admitted(counting._MAX_N, 4)
+    for n, k in ((20000, 420), (10**5, 84), (10**6, 8)):
+        assert largest(lambda m: admitted(n, m), 4) == k == counting.CLASS_N_CEILING // n
+    quoted(
+        f"come to more than {counting.CLASS_N_CEILING:,} (`counting.CLASS_N_CEILING`)",
+        "four colors pass up to n = 2,097,151, and eight at n = 10^6",
+    )
 
 
 def test_trials_ceiling():
     quoted(f"`--trials` is above {cli.MAX_TRIALS:,} (`cli.MAX_TRIALS`)")
-
-
-class Started(Exception):
-    pass
 
 
 def test_sweep_ceiling(monkeypatch):
@@ -109,9 +115,13 @@ def test_sweep_ceiling(monkeypatch):
     assert largest(lambda n: admitted([1, n, n]), 1) == (cli.MAX_SWEEP_N - 1) // 2
     assert not admitted([4, counting._MAX_N + 1]) and not admitted([0])
     assert admitted([8], "mod", 8) and not admitted([8, 7], "mod", 8)
+    # min(k, n) classes at each n, against the fast counters' class ceiling
+    assert admitted([4, 20000], "random", 420) and not admitted([4, 20000], "random", 421)
+    assert admitted([100, 1000], "random", 8400) and not admitted([100, 8401], "random", 8400)
     quoted(
         "`sweep` checks its whole `--n-list` before the first count",
         f"at most {counting._MAX_N:,}, and the list sums to at most {cli.MAX_SWEEP_N:,} (`cli.MAX_SWEEP_N`)",
+        "it also checks min(k, n)·n against the class ceiling for every n",
     )
 
 
@@ -131,7 +141,9 @@ def test_climb_work_ceiling(monkeypatch):
     assert admitted(40, 4, 8, 10000)
     moves = largest(lambda m: admitted(40, 4, 8, m), 10000)
     assert (8 + moves) * (4 * 40**2 + 2**15) <= search.MAX_CLIMB_WORK < (9 + moves) * (4 * 40**2 + 2**15)
+    top = largest(lambda n: admitted(n, 4, 1, 0), 4)
     quoted(
         f"(restarts + moves)·(k·n^2 + 2^15) is more than {search.MAX_CLIMB_WORK:,} steps (`search.MAX_CLIMB_WORK`)",
         f"the n = 40 example above plans {example:,} steps",
+        f"one start with no moves at k = 4 is admitted up to n = {top:,}",
     )

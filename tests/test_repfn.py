@@ -19,7 +19,6 @@ from sidonrainbow.repfn import (
     closed_rep_one_interval,
     closed_rep_two_intervals,
     interval_compress,
-    negate_set,
     rep_profile,
 )
 
@@ -122,10 +121,6 @@ def test_interval_compress():
     assert interval_compress(5) == IntSet(range(-3, 4))
     with pytest.raises(ValueError):
         interval_compress(0)
-
-
-def test_negate():
-    assert negate_set(IntSet([1, -3, 2])) == IntSet([-1, 3, -2])
 
 
 def test_energy_hand_values():

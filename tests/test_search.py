@@ -448,12 +448,15 @@ def test_local_search_stop_reason():
     assert local_search(16, 4, seed=9, restarts=5, max_moves=0).stop == "move budget"
 
 
-def test_local_search_checks_scan_ceiling(monkeypatch):
+def test_local_search_runs_past_the_scan_ceiling():
+    # the climb scans no quads, so the first n the naive scans refuse climbs
+    # on its work budget alone; the mod-4 start is a local maximum, and the
+    # random start spends the moves
     n = next(n for n in range(4, 10**4) if total_quads_formula(n) > SCAN_CEILING)
-    monkeypatch.setattr(search, "mod_coloring", lambda *a: pytest.fail("start built"))
-    monkeypatch.setattr(search, "_gain_table", lambda *a: pytest.fail("table built"))
-    with pytest.raises(ValueError, match=f"{total_quads_formula(n)} quads.*{SCAN_CEILING}"):
-        local_search(n, 4, seed=0, restarts=1, max_moves=1)
+    assert n == 495
+    r = local_search(n, 4, seed=0, restarts=2, max_moves=3)
+    assert (r.moves, r.stop) == (3, "move budget")
+    assert r.best_count == counting.count_rainbow_fast(r.best_coloring) >= counting.count_rainbow_fast(mod_coloring(n, 4))
 
 
 def test_local_search_checks_work_ceiling(monkeypatch):
