@@ -14,9 +14,10 @@ coefficient reads.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 from .enumeration import modular_count_formula, total_quads_formula
 
@@ -81,26 +82,41 @@ def bounds_report(n: int, k: int) -> BoundsReport:
     )
 
 
+def _rendered(r: BoundsReport, show: Callable[[object], str]) -> Iterator[tuple[str, str]]:
+    """(name, show(value)) for each field in field order. str() refuses an int
+    of more than sys.get_int_max_str_digits() digits; the ValueError then names
+    the field, not that setting."""
+    for f in fields(r):
+        try:
+            yield f.name, show(getattr(r, f.name))
+        except ValueError:
+            raise ValueError(
+                f"{f.name} has more than {sys.get_int_max_str_digits()} digits, too many to print"
+            ) from None
+
+
+def _text(x) -> str:
+    if not isinstance(x, Fraction):
+        return "-" if x is None else str(x)
+    try:
+        return f"{x} ({float(x):.6g})"
+    except OverflowError:  # past the float range the exact value stands alone
+        return str(x)
+
+
 def report_to_text(r: BoundsReport) -> str:
     """One row per field in field order; a *_flag field joins its value's row."""
     rows = {}
-    for f in fields(r):
-        x = getattr(r, f.name)
-        if f.name.endswith("_flag"):
-            if x:
-                rows[f.name.removesuffix("_flag")] += f" {x}"
-        elif isinstance(x, Fraction):
-            rows[f.name] = f"{x} ({float(x):.6g})"
-        else:
-            rows[f.name] = "-" if x is None else str(x)
+    for name, text in _rendered(r, _text):
+        if not name.endswith("_flag"):
+            rows[name] = text
+        elif text != "-":
+            rows[name.removesuffix("_flag")] += f" {text}"
     width = max(map(len, rows))
     return "\n".join(f"{name:<{width}}  {val}" for name, val in rows.items())
 
 
 def report_to_json(r: BoundsReport) -> str:
     """One-line JSON object keyed in field order; fractions as "p/q", None as null."""
-    values = ((f.name, getattr(r, f.name)) for f in fields(r))
-    return json.dumps(
-        {name: f"{x.numerator}/{x.denominator}" if isinstance(x, Fraction) else x for name, x in values},
-        separators=(",", ":"),
-    )
+    values = _rendered(r, lambda x: json.dumps(f"{x.numerator}/{x.denominator}" if isinstance(x, Fraction) else x))
+    return "{" + ",".join(f'"{name}":{value}' for name, value in values) + "}"

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
-import gc
 import io
 import itertools
 import random
@@ -24,7 +22,7 @@ import numpy as np
 from .bounds import bounds_report, lb_coefficient, report_to_json, report_to_text, ub_general_coefficient
 from .core import Domain, _check_family, mod_coloring, parse_coloring_lines, random_coloring
 from .counting import (
-    _check_classes,
+    CLASS_N_CEILING,
     _check_headroom,
     count_rainbow_cyclic_fast,
     count_rainbow_cyclic_naive,
@@ -272,13 +270,6 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if all(ok for _, ok in checks) else EXIT_MISMATCH
 
 
-# The most summed n one sweep may count: at the ceiling one k = 4 count takes
-# 1.9 s (mod) to 2.5 s (random) on a 2-vCPU x86 host (numpy 2.4), and the
-# benchmark's three n sum to 12,000. A count's time also grows with k, which
-# counting.CLASS_N_CEILING bounds for each n.
-MAX_SWEEP_N = 1_000_000
-
-
 def _cmd_sweep(args) -> int:
     try:
         ns = [int(part) for part in args.n_list.split(",") if part.strip()]
@@ -287,13 +278,14 @@ def _cmd_sweep(args) -> int:
     if not ns:
         raise ValueError("empty n-list")
     k = args.k
-    # the limits for the whole list, checked before the first count
+    # the limits for the whole list, checked before the first count: each n,
+    # then one fast count's class ceiling over the list's min(k, n) classes
     for n in ns:
         _check_family(n, k, surjective=args.coloring == "mod")
         _check_headroom(n)
-        _check_classes(min(k, n), n)
-    if sum(ns) > MAX_SWEEP_N:
-        raise ValueError(f"the n-list sums to {sum(ns)}, over the ceiling of {MAX_SWEEP_N}")
+    work = sum(min(k, n) * n for n in ns)
+    if work > CLASS_N_CEILING:
+        raise ValueError(f"the n-list's color classes times n sum to {work}, over the ceiling of {CLASS_N_CEILING}")
     lb, ub = lb_coefficient(k), ub_general_coefficient(k)
     out = io.StringIO()
     writer = csv.writer(out)
@@ -360,20 +352,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _shared_parser() -> argparse.ArgumentParser:
-    # A parser is a web of reference cycles (each action points back at its
-    # container), so one built per main call would be left for the cyclic
-    # collector; parsing does not change it, so in-process callers share one.
-    # Building it leaves argparse's help formatters in cycles too: free them now.
-    parser = build_parser()
-    gc.collect(0)
-    return parser
+# parsing does not change the parser, so every main call shares one
+_PARSER = build_parser()
 
 
 def main(argv=None) -> int:
     try:
-        args = _shared_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:

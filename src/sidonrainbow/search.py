@@ -83,7 +83,11 @@ def _verified(result: SearchResult) -> SearchResult:
 
 
 def canonical_coloring_count(n: int, k: int) -> int:
-    """Number of canonical colorings: partitions of [n] into at most k blocks."""
+    """Number of canonical colorings: partitions of [n] into at most k blocks.
+
+    No search path calls it; the walker's node-count tests and the benchmark's
+    smoke test compare against it.
+    """
     # Stirling numbers of the second kind S(i, j), only for j <= min(k, n)
     m = min(k, n)
     row = [1] + [0] * m  # S(0, j)
@@ -92,26 +96,23 @@ def canonical_coloring_count(n: int, k: int) -> int:
     return sum(row[1:])
 
 
-# The most canonical colorings, counted before pruning, that one search may cover:
-# n = 12 at k = 4 (700,075), which exhaustive_ar takes 0.025 s on a 2-vCPU x86 host.
+# The most canonical colorings with at most four colors, (4^n + 6 * 2^n + 8) / 24,
+# that one walk of [n] may cover: n = 12 (700,075) at most. exhaustive_ar takes
+# 0.025 s there at k = 4 and at most 0.11 s at any k on a 2-vCPU x86 host.
 MAX_STATES = 1_000_000
 
 
 def _check_budget(n: int, k: int) -> None:
-    """Refuse a walk of [n], 4 <= k <= n, over more than MAX_STATES canonical
-    colorings. Those with at most four colors, (4^n + 6 * 2^n + 8) / 24, are
-    all of them at k = 4 and a floor above, so every n > 12 is refused from
-    that at once; the Stirling rows, O(n k) big-int work, are built only below.
+    """Refuse a walk of [n], 4 <= k <= n, when its canonical colorings with at
+    most four colors, all of them at k = 4 and a floor above, exceed MAX_STATES.
     """
     if n > 7144:  # then its 2n - 4 bits make more than the 4300 digits str() takes
         count = f"more than 10^{(2 * n - 5) * 3 // 10}"
     else:
-        states, floor = ((1 << 2 * n) + (6 << n) + 8) // 24, k > 4
-        if floor and states <= MAX_STATES:
-            states, floor = canonical_coloring_count(n, k), False
+        states = ((1 << 2 * n) + (6 << n) + 8) // 24
         if states <= MAX_STATES:
             return
-        count = f"at least {states}" if floor else str(states)
+        count = f"at least {states}" if k > 4 else str(states)
     raise BudgetExceededError(f"{count} canonical colorings exceed the budget of {MAX_STATES}")
 
 
@@ -306,8 +307,18 @@ def delta_recolor(c: Coloring, i: int, newcolor: int) -> int:
         raise ValueError(f"element {i} outside [1, {c.n}]")
     if not 1 <= newcolor <= c.k:
         raise ValueError(f"color {newcolor} outside [1, {c.k}]")
-    row = _gain_table(c.colors, c.k)[i - 1]
-    return int(row[c.colors[i - 1]] - row[newcolor])
+    # rainbow counts do not depend on the labels: the table covers only the
+    # colors that occur and newcolor, relabelled 1..m
+    rank = {col: j for j, col in enumerate(sorted({*c.colors, newcolor}), 1)}
+    m = len(rank)
+    work = m * c.n * c.n + 2**15
+    if work > MAX_CLIMB_WORK:
+        raise ValueError(
+            f"a gain table at n={c.n} over {m} colors would take {work} steps, "
+            f"over the ceiling of {MAX_CLIMB_WORK}"
+        )
+    row = _gain_table([rank[col] for col in c.colors], m)[i - 1]
+    return int(row[rank[c.colors[i - 1]]] - row[rank[newcolor]])
 
 
 def _best_move(cols: np.ndarray, k: int) -> tuple[int, int, int]:
@@ -344,7 +355,8 @@ def _climb(cols: np.ndarray, k: int, move_budget: int) -> tuple[int, int]:
 # n = 12 to 494 and k = 4 or 32, and the largest climbs it admits at k = 4
 # took 2.4 s at n = 1000 (123 tables), 1.5 s at n = 5000 (4 tables) and 3.0 s
 # at n = 11179 (one table), the largest n it admits. This is the only bound on
-# a local search: the climb scans no quads.
+# a local search: the climb scans no quads. delta_recolor's one table over m
+# colors is bounded the same way.
 MAX_CLIMB_WORK = 500_000_000
 
 

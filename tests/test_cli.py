@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -135,6 +136,27 @@ def test_bounds_text_and_json(capsys):
     assert rc == 0
     obj = json.loads(out)
     assert obj["s_k"] == 5 and obj["ub_k4"] is None
+
+
+def test_bounds_past_the_float_range(capsys):
+    # n^3/12 is past the float range: each exact value stands without its approximation
+    n = 10**111
+    rc, out, err = run(capsys, "bounds", "--n", str(n), "--k", "4")
+    rows = dict(line.split(None, 1) for line in out.splitlines())
+    assert (rc, err) == (0, "")
+    assert rows["ub_trivial"] == rows["total_exact"] == str(total_quads_formula(n))
+    assert rows["ub_k4"] == f"{3 * n**3 // 96} +O(n^2)"
+    assert rows["lb_construction"] == f"{Fraction(n**3, 48)} -O_k(n^2)" and rows["s_k"] == "2"
+    assert json.loads(run(capsys, "bounds", "--n", str(n), "--k", "4", "--json")[1])["ub_k4"] == f"{3 * n**3 // 96}/1"
+
+
+@pytest.mark.parametrize("json_flag", ((), ("--json",)))
+def test_bounds_refuses_values_too_long_to_print(capsys, json_flag):
+    # n^3/12 has more digits than str() prints; the message names the field, not Python's setting
+    n = str(10**1500)
+    assert run(capsys, "bounds", "--n", n, "--k", "4", *json_flag) == (
+        1, "", f"total_exact has more than {sys.get_int_max_str_digits()} digits, too many to print\n",
+    )
 
 
 def test_bounds_bad_args(capsys):
@@ -500,14 +522,18 @@ FAILURES = {
     ("sweep", "--k", "4", "--n-list", "1000000,3000000", "--coloring", "mod", "--out", "s.csv"): (
         1, "", "n=3000000 is too large for int64 histogram sums: need n <= 2097151\n",
     ),
+    # one fast count's class ceiling, min(k, n) classes times n, summed over the list
     ("sweep", "--k", "421", "--n-list", "400,20000", "--coloring", "random", "--out", "s.csv"): (
-        1, "", "421 color classes times n=20000 is 8420000, over the ceiling of 8400000\n",
+        1, "", "the n-list's color classes times n sum to 8580000, over the ceiling of 8400000\n",
+    ),
+    ("sweep", "--k", "42", "--n-list", ",".join(["100000"] * 10), "--coloring", "random", "--out", "s.csv"): (
+        1, "", "the n-list's color classes times n sum to 42000000, over the ceiling of 8400000\n",
     ),
     ("sweep", "--k", "4", "--n-list", "600000,0", "--coloring", "random", "--out", "s.csv"): (
         1, "", "need n >= 1 and k >= 1, got n=0, k=4\n",
     ),
-    ("sweep", "--k", "4", "--n-list", "600000,400001", "--coloring", "random", "--out", "s.csv"): (
-        1, "", "the n-list sums to 1000001, over the ceiling of 1000000\n",
+    ("sweep", "--k", "4", "--n-list", "1050000,1050001", "--coloring", "random", "--out", "s.csv"): (
+        1, "", "the n-list's color classes times n sum to 8400004, over the ceiling of 8400000\n",
     ),
     ("sweep", "--k", "0", "--n-list", "8", "--coloring", "random", "--out", "s.csv"): (
         1, "", "need n >= 1 and k >= 1, got n=8, k=0\n",
@@ -631,6 +657,13 @@ def test_sweep_bad_lists(capsys, tmp_path):
     out_path = str(tmp_path / "x.csv")
     assert run(capsys, "sweep", "--k", "4", "--n-list", "", "--coloring", "mod", "--out", out_path)[0] == 1
     assert run(capsys, "sweep", "--k", "4", "--n-list", "4,foo", "--coloring", "mod", "--out", out_path)[0] == 1
+
+
+def test_main_builds_no_parser_per_call(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser built"))
+    assert run(capsys, "total", "--n", "5") == (0, "3 3 3 OK\n", "")
+    rc, out, err = run(capsys, "--help")
+    assert rc == 0 and out.startswith("usage: sidonrainbow") and err == ""
 
 
 def test_unknown_command(capsys):

@@ -1,7 +1,10 @@
 """The README's CLI examples, run as written: each `$ sidonrainbow ...` line of
 its CLI block through cli.main in an empty working directory, its stdout
 compared with the lines printed under it and its stderr empty. A `...` line stands for any run of
-lines, and a `$ cat FILE` line after a command compares FILE's lines."""
+lines, and a `$ cat FILE` line after a command compares FILE's lines. Every
+backticked `module.NAME` of a sidonrainbow module must name an attribute that
+exists."""
+import importlib.util
 import re
 import shlex
 from pathlib import Path
@@ -53,3 +56,11 @@ def test_readme_cli_example(argv, stdout, files, capsys, monkeypatch, tmp_path):
     assert captured.err == ""
     for name, lines in files.items():
         assert matches(lines, (tmp_path / name).read_text(encoding="utf-8"))
+
+
+def test_readme_names_resolve():
+    names = re.findall(r"`(\w+)\.(\w+)`", README.read_text(encoding="utf-8"))
+    ours = [(mod, name) for mod, name in names if importlib.util.find_spec(f"sidonrainbow.{mod}")]
+    assert len(ours) >= 7
+    missing = [f"{mod}.{name}" for mod, name in ours if not hasattr(importlib.import_module(f"sidonrainbow.{mod}"), name)]
+    assert not missing

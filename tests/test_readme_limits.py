@@ -1,5 +1,6 @@
 """The limits that the README's CLI section quotes, recomputed from the
 constants and checks that enforce them, so the text cannot drift from the code."""
+import math
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -55,7 +56,13 @@ def test_sums_ceiling():
 
 def test_exhaustive_budget():
     n = largest(lambda n: admits(search._check_budget, n, 4), 4)
-    quoted(f"more than {search.MAX_STATES:,} canonical colorings", f"admits n = {n} at k = 4", f"past n = {n} it")
+    assert all(admits(search._check_budget, n, k) for k in range(5, n + 1))
+    assert not any(admits(search._check_budget, n + 1, k) for k in range(4, n + 2))
+    quoted(
+        f"more than {search.MAX_STATES:,} canonical colorings with at most four colors",
+        f"it admits n = {n} at every k",
+        f"refuses past n = {n}.",
+    )
 
 
 def test_fast_counter_headroom():
@@ -111,17 +118,24 @@ def test_sweep_ceiling(monkeypatch):
             return True
         return False
 
-    assert largest(lambda total: admitted([total]), 1) == cli.MAX_SWEEP_N
-    assert largest(lambda n: admitted([1, n, n]), 1) == (cli.MAX_SWEEP_N - 1) // 2
-    assert not admitted([4, counting._MAX_N + 1]) and not admitted([0])
+    ceiling, top = counting.CLASS_N_CEILING, counting._MAX_N
+    # min(k, n) classes at each n, summed over the list, against one fast count's class ceiling
+    assert largest(lambda n: admitted([1, n, n]), 1) == (ceiling - 1) // 8
+    assert largest(lambda n: admitted([n], "random", 10**9), 1) == math.isqrt(ceiling)
+    assert admitted([top] * 4, "random", 1) and not admitted([top] * 5, "random", 1)
+    rest = (ceiling - 4 * top) // 4
+    assert admitted([10**6] * 2) and admitted([top, rest]) and not admitted([top, rest + 1])
+    assert admitted([10**5] * 2, "random", 42) and not admitted([10**5] * 10, "random", 42)
+    assert admitted([20000], "random", 420) and not admitted([20000], "random", 421)
+    # every n is checked for itself first
+    assert not admitted([4, top + 1]) and not admitted([0])
     assert admitted([8], "mod", 8) and not admitted([8, 7], "mod", 8)
-    # min(k, n) classes at each n, against the fast counters' class ceiling
-    assert admitted([4, 20000], "random", 420) and not admitted([4, 20000], "random", 421)
-    assert admitted([100, 1000], "random", 8400) and not admitted([100, 8401], "random", 8400)
     quoted(
         "`sweep` checks its whole `--n-list` before the first count",
-        f"at most {counting._MAX_N:,}, and the list sums to at most {cli.MAX_SWEEP_N:,} (`cli.MAX_SWEEP_N`)",
-        "it also checks min(k, n)·n against the class ceiling for every n",
+        f"at most {top:,}, and min(k, n)·n summed over the list is at most the class ceiling that bounds one fast count",
+        "at k = 4 (`2097151`), 5.1 s at k = 4 (`1000000,1000000`)",
+        f"at k = 1 (four times {top:,},",
+        "k = 42 (`100000,100000`) and 0.22 s at k = 420 (`20000`)",
     )
 
 

@@ -3,6 +3,7 @@ import gc
 import itertools
 import json
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -70,18 +71,19 @@ def test_exhaustive_budget(monkeypatch):
         exhaustive_ar(9, 4)
 
 
-def test_budget_builds_stirling_rows_only_under_the_four_color_count(monkeypatch):
-    # the count with at most four colors is exact at k = 4 and a floor above:
-    # at n = 12 it passes (700075) and the Stirling rows count 2079475 at k = 5
-    with pytest.raises(BudgetExceededError, match="^2079475 canonical colorings exceed"):
-        exhaustive_ar(12, 5)
-    # past n = 12 it refuses at once: 2798251 at n = 13
+def test_budget_from_the_four_color_count_alone(monkeypatch):
+    # the count with at most four colors is exact at k = 4 and a floor above;
+    # no Stirling rows are built, so n = 12 (700075) walks at every k
     monkeypatch.setattr(search, "canonical_coloring_count", lambda n, k: pytest.fail("rows built"))
-    with pytest.raises(BudgetExceededError, match="^2798251 canonical colorings exceed"):
+    for k in range(5, 14):
+        r = exhaustive_ar(12, k)
+        assert r.exact and r.best_count >= 37 and r.best_coloring.k == k
+    # past n = 12 it refuses at once: 2798251 at n = 13
+    with pytest.raises(BudgetExceededError, match="^2798251 canonical colorings exceed the budget of 1000000$"):
         exhaustive_ar(13, 4)
-    with pytest.raises(BudgetExceededError, match="^at least 2798251 canonical colorings exceed"):
+    with pytest.raises(BudgetExceededError, match="^at least 2798251 canonical colorings exceed the budget of 1000000$"):
         exhaustive_ar(13, 5)
-    with pytest.raises(BudgetExceededError, match=r"^more than 10\^5998 canonical colorings exceed"):
+    with pytest.raises(BudgetExceededError, match=r"^more than 10\^5998 canonical colorings exceed the budget of 1000000$"):
         fox_spot_check(10**4)
 
 
@@ -311,6 +313,24 @@ def test_delta_matches_recount_large_n():
             Domain.INTERVAL, 100, 4, c.colors[: i - 1] + (newcolor,) + c.colors[i:]
         )
         assert delta_recolor(c, i, newcolor) == count_rainbow_naive(recolored).rainbow - base
+
+
+def test_delta_recolor_tables_only_the_colors_that_occur():
+    # labels do not change rainbow counts: at k = 10**12 the table covers the
+    # colors that occur and newcolor, so it costs what the relabelled coloring costs
+    big = 10**12
+    labels = {1: 1, 2: 7, 3: 10**9, 4: big - 1, 5: big}
+    rng = np.random.default_rng(5)
+    small = Coloring(Domain.INTERVAL, 10, 5, tuple(int(x) for x in rng.integers(1, 5, 10)))
+    c = Coloring(Domain.INTERVAL, 10, big, tuple(labels[x] for x in small.colors))
+    start = time.perf_counter()
+    for i in range(1, 11):
+        for new in labels:
+            assert delta_recolor(c, i, labels[new]) == delta_recolor(small, i, new)
+    assert time.perf_counter() - start < 1
+    # one table of m colors at n costs m n^2 + 2^15 steps, under search.MAX_CLIMB_WORK
+    with pytest.raises(ValueError, match="^a gain table at n=11180 over 4 colors would take 500002368 steps"):
+        delta_recolor(mod_coloring(11180, 4), 1, 2)
 
 
 def fresh_rows(cols, k):
