@@ -23,6 +23,7 @@ from .bounds import bounds_report, lb_coefficient, report_to_json, report_to_tex
 from .core import Domain, _check_family, mod_coloring, parse_coloring_lines, random_coloring
 from .counting import (
     CLASS_N_CEILING,
+    MIN_CLASS_N,
     _check_headroom,
     count_rainbow_cyclic_fast,
     count_rainbow_cyclic_naive,
@@ -138,22 +139,17 @@ def _cmd_total(args) -> int:
     return status
 
 
-def _rainbow_counts(c, method: str) -> dict[str, int]:
-    out: dict[str, int] = {}
-    if c.domain is Domain.CYCLIC:
-        if method == "energy":
-            raise ValueError("energy method applies to interval colorings only")
-        if method in ("naive", "all"):
-            out["naive"] = count_rainbow_cyclic_naive(c)
-        if method in ("fast", "all"):
-            out["fast"] = count_rainbow_cyclic_fast(c)
-        return out
+def _rainbow_counts(c, method: str) -> list[int]:
+    cyclic = c.domain is Domain.CYCLIC
+    if cyclic and method == "energy":
+        raise ValueError("energy method applies to interval colorings only")
+    out = []
     if method in ("naive", "all"):
-        out["naive"] = count_rainbow_naive(c).rainbow
+        out.append(count_rainbow_cyclic_naive(c) if cyclic else count_rainbow_naive(c).rainbow)
     if method in ("fast", "all"):
-        out["fast"] = count_rainbow_fast(c)
-    if method == "energy" or (method == "all" and c.k == 4):
-        out["energy"] = rainbow_via_energy(c)
+        out.append(count_rainbow_cyclic_fast(c) if cyclic else count_rainbow_fast(c))
+    if not cyclic and (method == "energy" or (method == "all" and c.k == 4)):
+        out.append(rainbow_via_energy(c))
     return out
 
 
@@ -167,7 +163,7 @@ def _cmd_rainbow(args) -> int:
         raise ValueError(f"bad coloring file: {e}") from None
     status = EXIT_OK
     for c in colorings:
-        vals = list(_rainbow_counts(c, args.method).values())
+        vals = _rainbow_counts(c, args.method)
         if args.method != "all":
             print(vals[0])
         elif not _print_verdict("", vals):
@@ -202,19 +198,15 @@ def _cmd_search(args) -> int:
 
 def _suite_closed_forms() -> list[tuple[str, bool]]:
     # each profile r_{[-a,a]+[-b,b]}, 1 <= a <= b <= 30, is built once and compared
-    # whole; one with b <= 8 serves the product dominance as (a, b) and as (b, a)
+    # whole; the dominance lines below read the closed forms this proves equal to them
     two_ok = one_ok = True
-    pairs = {}
     for beta in range(1, 31):
         for alpha in range(1, beta + 1):
-            prof = rep_profile(_interval(alpha), _interval(beta))
             w = alpha + beta + 2
-            ms, values = np.arange(-w, w + 1), prof.window(-w, w)
+            ms, values = np.arange(-w, w + 1), rep_profile(_interval(alpha), _interval(beta)).window(-w, w)
             two_ok &= np.array_equal(closed_rep_two_intervals(alpha, beta, ms), values)
             if alpha == beta:
                 one_ok &= np.array_equal(closed_rep_one_interval(alpha, ms), values)
-            if beta <= 8:
-                pairs[alpha, beta] = pairs[beta, alpha] = prof
     e4_ok = all(closed_energy4_interval(a) == additive_energy([_interval(a)] * 4) for a in range(1, 21))
     sum_ok = product_ok = True
     for a1, a2, a3, a4 in itertools.product(range(1, 9), repeat=4):
@@ -222,9 +214,9 @@ def _suite_closed_forms() -> list[tuple[str, bool]]:
         if s % 4:
             continue
         # the pointwise bound holds inside both pair supports
-        reach = min(a1 + a2, a3 + a4, s // 2)
+        reach = min(a1 + a2, a3 + a4)
         sum_ok &= check_sum_dominance(a1, a2, a3, a4, np.arange(-reach, reach + 1))
-        product_ok &= check_energy_dominance(a1, a2, a3, a4, pairs)
+        product_ok &= check_energy_dominance(a1, a2, a3, a4)
     return [("rep two intervals", two_ok), ("rep one interval", one_ok),
             ("interval energy", e4_ok), ("sum dominance", sum_ok), ("product dominance", product_ok)]
 
@@ -279,13 +271,17 @@ def _cmd_sweep(args) -> int:
         raise ValueError("empty n-list")
     k = args.k
     # the limits for the whole list, checked before the first count: each n,
-    # then one fast count's class ceiling over the list's min(k, n) classes
+    # then one fast count's class ceiling over the list's min(k, n) classes,
+    # each count charged at least MIN_CLASS_N
     for n in ns:
         _check_family(n, k, surjective=args.coloring == "mod")
         _check_headroom(n)
-    work = sum(min(k, n) * n for n in ns)
+    work = sum(max(min(k, n) * n, MIN_CLASS_N) for n in ns)
     if work > CLASS_N_CEILING:
-        raise ValueError(f"the n-list's color classes times n sum to {work}, over the ceiling of {CLASS_N_CEILING}")
+        least = f", each count at least {MIN_CLASS_N}," if work > sum(min(k, n) * n for n in ns) else ""
+        raise ValueError(
+            f"the n-list's color classes times n{least} sum to {work}, over the ceiling of {CLASS_N_CEILING}"
+        )
     lb, ub = lb_coefficient(k), ub_general_coefficient(k)
     out = io.StringIO()
     writer = csv.writer(out)

@@ -34,7 +34,7 @@ from math import isqrt
 import numpy as np
 
 from .core import ClassBreakdown, Coloring, Domain
-from .enumeration import _check_scan, f_n_exact, modular_count_formula, total_quads_formula
+from .enumeration import SCAN_CEILING, _check_scan, f_n_exact, modular_count_formula, total_quads_formula
 
 
 # Entries of one block of outer comparisons in the naive scans: buckets are
@@ -147,6 +147,9 @@ def _check_headroom(n: int) -> None:
 # the crossover) and 3.8 s at n = 10^6 (k = 8); four classes pass up to _MAX_N
 # (4.2 s).
 CLASS_N_CEILING = 8_400_000
+# The least a sweep charges one count against that ceiling, for its fixed cost:
+# a count at n = 4 took about 0.2 ms there, 400 units at the ceiling's 0.5 us each.
+MIN_CLASS_N = 400
 
 
 def _check_classes(classes: int, n: int) -> None:
@@ -552,13 +555,22 @@ def non_rainbow_lower_bound(c: Coloring) -> Fraction:
 
     A quad that is not rainbow repeats a color, so it contains a same-colored
     pair; summing, over all same-colored pairs, the number of quads through
-    the pair counts each non-rainbow quad at most six times.
+    the pair counts each non-rainbow quad at most six times. f_n_exact takes
+    a block of a class's pairs at a time; more than SCAN_CEILING same-colored
+    pairs are refused before any is formed.
     """
     if c.domain is not Domain.INTERVAL:
         raise ValueError("non_rainbow_lower_bound expects an interval coloring")
+    classes = [x.astype(np.int64) for x in _classes(c).values()]
+    pairs = sum(len(x) * (len(x) - 1) // 2 for x in classes)
+    if pairs > SCAN_CEILING:
+        raise ValueError(f"the floor would sum over {pairs} same-colored pairs, over the ceiling of {SCAN_CEILING}")
     total = 0
-    for cls in (x.tolist() for x in _classes(c).values()):
-        for bi in range(len(cls)):
-            for ai in range(bi + 1, len(cls)):
-                total += f_n_exact(c.n, cls[bi], cls[ai])
+    for x in classes:
+        rows = max(1, _SCAN_BLOCK // len(x))
+        for i in range(0, len(x), rows):
+            # rows b of the block against the later members a of the class
+            b, a = np.broadcast_arrays(x[i : i + rows, None], x[i + 1 :])
+            later = b < a
+            total += int(f_n_exact(c.n, b[later], a[later]).sum())
     return Fraction(total, 6)

@@ -19,7 +19,8 @@ from .core import ModularSidonQuad
 # The most quads one scan may visit. At the ceiling (n = 494 for [n] through
 # total_quads_formula, n = 432 for Z_n through modular_count_formula) the naive
 # rainbow counters take about 0.1 s and total's checked enumeration about
-# 0.06 s on a 2-vCPU x86 host.
+# 0.06 s on a 2-vCPU x86 host. The non-rainbow floor takes as many
+# same-colored pairs, about 0.6 s at the ceiling there.
 SCAN_CEILING = 10_000_000
 
 
@@ -31,11 +32,11 @@ def _check_scan(quads: int, what: str) -> None:
         )
 
 
-def pairs_with_sum(n: int, l: int) -> int:
-    """Number of pairs {a < b} within [n] with a + b = l."""
-    lo = max(1, l - n)
-    hi = (l - 1) // 2
-    return max(0, hi - lo + 1)
+def pairs_with_sum(n: int, l):
+    """Number of pairs {a < b} within [n] with a + b = l.
+    An int l gives an int; an int64 array of l gives the int64 array of counts."""
+    p = np.maximum((l - 1) // 2 - np.maximum(1, l - n) + 1, 0)
+    return p if isinstance(p, np.ndarray) else int(p)
 
 
 def enumerate_quads(n: int) -> Iterator[np.ndarray]:
@@ -161,24 +162,21 @@ def modular_count_formula(k: int) -> int:
     return num // 8
 
 
-def f_n_exact(n: int, b: int, a: int) -> int:
+def f_n_exact(n: int, b, a):
     """Exact number of Sidon 4-sets of [n] containing both a and b (b < a).
+    Ints b, a give an int; int64 arrays of b and a give the int64 array of counts.
 
     Splits on whether {a, b} is a side of the forced pairing:
       same side:      the other side is any different pair with sum a + b;
       opposite sides: partners x and x + (a - b) with x, x + d avoiding a, b.
     The two families are disjoint and each 4-set appears once.
     """
-    if not 1 <= b < a <= n:
+    if not np.all((1 <= b) & (b < a) & (a <= n)):
         raise ValueError(f"need 1 <= b < a <= n, got b={b}, a={a}, n={n}")
     same_side = pairs_with_sum(n, a + b) - 1
-    d = a - b
-    # x runs over partners of a; y = x + d partners b; exclusions keep all four distinct
-    hi = n - d
-    opposite = hi
-    for bad in {a, b, 2 * b - a}:
-        if 1 <= bad <= hi:
-            opposite -= 1
+    # x runs over [1, n - d], less the three distinct values a, b, 2b - a that would
+    # repeat an element: b always lies there, a when 2a - b <= n, 2b - a when >= 1
+    opposite = n - (a - b) - 1 - (2 * a - b <= n) - (2 * b - a >= 1)
     return same_side + opposite
 
 

@@ -16,34 +16,19 @@ from typing import Iterable, Sequence
 import numpy as np
 
 
-class IntSet:
-    """Finite set of distinct integers, kept strictly increasing."""
+class IntSet(tuple):
+    """Finite set of distinct integers: the tuple of its elements, strictly increasing."""
 
-    __slots__ = ("values",)
+    __slots__ = ()
 
-    def __init__(self, values: Iterable[int]):
-        vals = tuple(sorted(values))
+    def __new__(cls, values: Iterable[int]):
+        vals = sorted(values)
         if len(set(vals)) < len(vals):
             raise ValueError(f"duplicate element {next(a for a, b in zip(vals, vals[1:]) if a == b)}")
-        self.values: tuple[int, ...] = vals
-
-    def __len__(self):
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __contains__(self, x):
-        return x in self.values
-
-    def __eq__(self, other):
-        return isinstance(other, IntSet) and self.values == other.values
-
-    def __hash__(self):
-        return hash(self.values)
+        return super().__new__(cls, vals)
 
     def __repr__(self):
-        return f"IntSet({list(self.values)})"
+        return f"IntSet({list(self)})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,10 +64,10 @@ def rep_profile(A: IntSet, B: IntSet) -> RepProfile:
     """r_{A+B}(m) = #{(a,b) in A x B : a+b = m} for every m, by blocked direct accumulation."""
     if not len(A) or not len(B):
         raise ValueError("rep_profile needs nonempty sets")
-    lo, hi = A.values[0] + B.values[0], A.values[-1] + B.values[-1]
-    # offsets from the smallest elements, so a + b - lo is a small index
-    a = np.array([x - A.values[0] for x in A.values], dtype=np.intp)
-    b = np.array([y - B.values[0] for y in B.values], dtype=np.intp)
+    lo, hi = A[0] + B[0], A[-1] + B[-1]
+    # offsets from the smallest elements, in Python ints, so a + b - lo is a small index
+    a = np.array([x - A[0] for x in A], dtype=np.intp)
+    b = np.array([y - B[0] for y in B], dtype=np.intp)
     counts = np.zeros(hi - lo + 1, dtype=np.int64)
     rows = max(1, _BLOCK // len(b))
     for i in range(0, len(a), rows):
@@ -102,9 +87,9 @@ def interval_compress(size: int) -> IntSet:
 
 
 def _indicator(A: IntSet) -> tuple[int, np.ndarray]:
-    lo = A.values[0]
-    arr = np.zeros(A.values[-1] - lo + 1, dtype=np.int64)
-    arr[[a - lo for a in A.values]] = 1
+    lo = A[0]
+    arr = np.zeros(A[-1] - lo + 1, dtype=np.int64)
+    arr[[a - lo for a in A]] = 1
     return lo, arr
 
 
@@ -129,7 +114,7 @@ def additive_energy(sets: Sequence[IntSet]) -> int:
     if math.prod(len(s) for s in sets) > 2**63 - 1:
         raise ValueError("product of set sizes exceeds 2**63 - 1: int64 fold would overflow")
     # convolution i costs the running length, sum(spans[:i]) - (i - 1), times spans[i]
-    spans = [s.values[-1] - s.values[0] + 1 for s in sets]
+    spans = [s[-1] - s[0] + 1 for s in sets]
     work = sum((sum(spans[:i]) - i + 1) * spans[i] for i in range(1, len(spans)))
     if work > ENERGY_CEILING:
         raise ValueError(
@@ -177,6 +162,18 @@ def closed_energy4_interval(alpha: int) -> int:
     return cubic // 3 + 8 * alpha**2 + 1
 
 
+def _pair_reps(a1: int, a2: int, a3: int, a4: int, m) -> tuple[int, np.ndarray, np.ndarray]:
+    """s = a1+a2+a3+a4 (radii >= 1, 4 | s, else ValueError), then r_{A1+A2} and
+    r_{A3+A4} at the int64 array m, A_i = [-a_i, a_i], from the closed forms."""
+    if min(a1, a2, a3, a4) < 1:
+        raise ValueError("interval radii must be >= 1")
+    s = a1 + a2 + a3 + a4
+    if s % 4 != 0:
+        raise ValueError(f"sum of radii must be divisible by 4, got {s}")
+    r12, r34 = (closed_rep_two_intervals(min(a, b), max(a, b), m) for a, b in ((a1, a2), (a3, a4)))
+    return s, r12, r34
+
+
 def check_sum_dominance(a1: int, a2: int, a3: int, a4: int, m) -> bool:
     """With A_i = [-a_i, a_i] and J = [-s/4, s/4] for s = a1+a2+a3+a4 (4 | s),
     test r_{A1+A2}(m) + r_{A3+A4}(m) <= 2 r_{J+J}(m) at m, an int or an int64
@@ -189,40 +186,26 @@ def check_sum_dominance(a1: int, a2: int, a3: int, a4: int, m) -> bool:
     inside both supports; check_energy_dominance covers the aggregate form that
     needs no such restriction.
     """
-    if min(a1, a2, a3, a4) < 1:
-        raise ValueError("interval radii must be >= 1")
-    s = a1 + a2 + a3 + a4
-    if s % 4 != 0:
-        raise ValueError(f"sum of radii must be divisible by 4, got {s}")
     m = np.asarray(m, dtype=np.int64)
+    s, r12, r34 = _pair_reps(a1, a2, a3, a4, m)
     worst = int(np.abs(m).max(initial=0))
     if worst > s // 2:
         raise ValueError(f"|m| = {worst} exceeds {s // 2}")
-    lhs = closed_rep_two_intervals(min(a1, a2), max(a1, a2), m)
-    lhs = lhs + closed_rep_two_intervals(min(a3, a4), max(a3, a4), m)
-    return bool((lhs <= 2 * closed_rep_one_interval(s // 4, m)).all())
+    return bool((r12 + r34 <= 2 * closed_rep_one_interval(s // 4, m)).all())
 
 
-def check_energy_dominance(a1: int, a2: int, a3: int, a4: int, profiles=None) -> bool:
+def check_energy_dominance(a1: int, a2: int, a3: int, a4: int) -> bool:
     """Aggregate form: sum_m r_{A1+A2}(m) * r_{A3+A4}(m) <= sum_{|m| <= s/2} r_{J+J}(m)^2,
     which is E_4 of four copies of J = [-s/4, s/4] (closed_energy4_interval).
 
     Holds for every radius tuple with 4 | s: where both factors are positive the
-    pointwise bound applies, and elsewhere the product is zero. `profiles`, if
-    given, maps (a, b) to rep_profile([-a, a], [-b, b]) for both radius pairs,
-    so a caller checking many tuples builds each profile once.
+    pointwise bound applies, and elsewhere the product is zero. The left side
+    is read off the closed forms over |m| <= min(a1 + a2, a3 + a4), where both
+    factors can be non-zero.
     """
-    if min(a1, a2, a3, a4) < 1:
-        raise ValueError("interval radii must be >= 1")
-    s = a1 + a2 + a3 + a4
-    if s % 4 != 0:
-        raise ValueError(f"sum of radii must be divisible by 4, got {s}")
-    if profiles is None:
-        profiles = {(a, b): rep_profile(_interval(a), _interval(b)) for a, b in ((a1, a2), (a3, a4))}
-    half = s // 2
-    # both profiles vanish beyond |m| = min(a1 + a2, a3 + a4) <= s/2
-    lhs = int(np.dot(profiles[a1, a2].window(-half, half), profiles[a3, a4].window(-half, half)))
-    return lhs <= closed_energy4_interval(s // 4)
+    reach = min(a1 + a2, a3 + a4)
+    s, r12, r34 = _pair_reps(a1, a2, a3, a4, np.arange(-reach, reach + 1))
+    return int(np.dot(r12, r34)) <= closed_energy4_interval(s // 4)
 
 
 def check_lev(sets: Sequence[IntSet]) -> bool:

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sidonrainbow import cli, enumeration, repfn
+from sidonrainbow import cli, counting, enumeration, repfn
 from sidonrainbow.cli import main
 from sidonrainbow.core import Domain, mod_coloring, random_coloring, serialize_coloring
 from sidonrainbow.enumeration import SCAN_CEILING, enumerate_quads, total_quads_formula
@@ -126,6 +126,39 @@ def test_rainbow_errors(capsys, tmp_path):
     assert run(capsys, "rainbow", "--coloring", k5, "--method", "energy")[0] == 1
     cyc = coloring_file(tmp_path, mod_coloring(8, 4, Domain.CYCLIC))
     assert run(capsys, "rainbow", "--coloring", cyc, "--method", "energy")[0] == 1
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+@pytest.mark.parametrize("method", ["naive", "fast", "energy", "all"])
+@pytest.mark.parametrize("domain", list(Domain))
+def test_rainbow_matches_the_counters_called_directly(capsys, tmp_path, domain, method, k):
+    colorings = [random_coloring(n, k, n, domain) for n in (9, 23)]
+    path = coloring_file(tmp_path, *colorings)
+    if domain is Domain.CYCLIC:
+        routes = {"naive": counting.count_rainbow_cyclic_naive, "fast": counting.count_rainbow_cyclic_fast}
+    else:
+        routes = {"naive": lambda c: counting.count_rainbow_naive(c).rainbow, "fast": counting.count_rainbow_fast}
+        if method == "energy" or k == 4:
+            routes["energy"] = counting.rainbow_via_energy
+    if method == "energy" and domain is Domain.CYCLIC:
+        want = (1, "", "energy method applies to interval colorings only\n")
+    elif method == "energy" and k != 4:
+        want = (1, "", f"energy route needs exactly 4 colors, got k={k}\n")
+    elif method == "all":
+        want = (0, "".join(" ".join(str(f(c)) for f in routes.values()) + " OK\n" for c in colorings), "")
+    else:
+        want = (0, "".join(f"{routes[method](c)}\n" for c in colorings), "")
+    assert run(capsys, "rainbow", "--coloring", path, "--method", method) == want
+
+
+def test_rainbow_refuses_cyclic_energy_before_any_count(capsys, monkeypatch, tmp_path):
+    for name in ("count_rainbow_cyclic_naive", "count_rainbow_cyclic_fast", "count_rainbow_naive",
+                 "count_rainbow_fast", "rainbow_via_energy"):
+        monkeypatch.setattr(cli, name, lambda c: pytest.fail("a count ran"))
+    path = coloring_file(tmp_path, mod_coloring(8, 4, Domain.CYCLIC))
+    assert run(capsys, "rainbow", "--coloring", path, "--method", "energy") == (
+        1, "", "energy method applies to interval colorings only\n",
+    )
 
 
 def test_bounds_text_and_json(capsys):
@@ -358,20 +391,6 @@ def plus_one_at(real, hit):
     return lambda *args: real(*args) + hit(args[:-1], np.asarray(args[-1]))
 
 
-def bumped_profiles(real):
-    """rep_profile with r_{J+J}(0) one too large for J = [-1, 1]."""
-
-    def rep_profile(A, B):
-        p = real(A, B)
-        if A == B == repfn.IntSet([-1, 0, 1]):
-            counts = list(p.counts)
-            counts[-p.lo] += 1
-            p = repfn.RepProfile(p.lo, p.hi, tuple(counts))
-        return p
-
-    return rep_profile
-
-
 # one entry made wrong through what each lemma line reads
 LEMMA_FAULTS = {
     "rep two intervals": [
@@ -385,7 +404,8 @@ LEMMA_FAULTS = {
     "sum dominance": [
         (repfn, "closed_rep_two_intervals", lambda f: plus_one_at(f, lambda ab, m: (ab == (1, 1)) * (m == 0)))
     ],
-    "product dominance": [(cli, "rep_profile", bumped_profiles), (repfn, "rep_profile", bumped_profiles)],
+    # r_{[-1,1]+[-1,1]} . r_{[-1,1]+[-1,1]} = 1 + 4 + 9 + 4 + 1 = 19 = E_4(1) holds with equality at radii (1, 1, 1, 1)
+    "product dominance": [(repfn, "closed_energy4_interval", lambda f: lambda a: f(a) - (a == 1))],
 }
 
 
@@ -528,6 +548,11 @@ FAILURES = {
     ),
     ("sweep", "--k", "42", "--n-list", ",".join(["100000"] * 10), "--coloring", "random", "--out", "s.csv"): (
         1, "", "the n-list's color classes times n sum to 42000000, over the ceiling of 8400000\n",
+    ),
+    # each count is charged at least MIN_CLASS_N for its fixed cost: 4 * 2097151 + 29 * 400
+    ("sweep", "--k", "4", "--n-list", ",".join(["2097151"] + ["4"] * 29), "--coloring", "random", "--out", "s.csv"): (
+        1, "", "the n-list's color classes times n, each count at least 400, sum to 8400204, "
+        "over the ceiling of 8400000\n",
     ),
     ("sweep", "--k", "4", "--n-list", "600000,0", "--coloring", "random", "--out", "s.csv"): (
         1, "", "need n >= 1 and k >= 1, got n=0, k=4\n",

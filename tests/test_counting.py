@@ -2,6 +2,7 @@
 import itertools
 import random
 import tracemalloc
+from fractions import Fraction
 from math import comb, isqrt
 from types import SimpleNamespace
 
@@ -20,7 +21,7 @@ from sidonrainbow.counting import (
     non_rainbow_lower_bound,
     rainbow_via_energy,
 )
-from sidonrainbow.enumeration import SCAN_CEILING, modular_count_formula, total_quads_formula
+from sidonrainbow.enumeration import SCAN_CEILING, f_n_exact, modular_count_formula, total_quads_formula
 from sidonrainbow.repfn import IntSet, additive_energy
 
 
@@ -541,3 +542,27 @@ def test_non_rainbow_floor(n, k, seed):
     c = random_coloring(n, k, seed)
     bd = count_rainbow_naive(c)
     assert bd.total - bd.rainbow >= non_rainbow_lower_bound(c)
+
+
+@given(st.integers(4, 40), st.integers(1, 6), st.integers(0, 10**6))
+@settings(max_examples=30, deadline=None)
+def test_non_rainbow_floor_is_the_per_pair_sum(n, k, seed):
+    c = random_coloring(n, k, seed)
+    pairs = [(b, a) for b in range(1, n) for a in range(b + 1, n + 1) if c.colors[b - 1] == c.colors[a - 1]]
+    assert non_rainbow_lower_bound(c) == Fraction(sum(f_n_exact(n, b, a) for b, a in pairs), 6)
+
+
+def test_non_rainbow_floor_checks_the_ceiling(monkeypatch):
+    class Started(Exception):
+        pass
+
+    def start(*_):
+        raise Started
+
+    monkeypatch.setattr(counting, "f_n_exact", start)
+    # one class of m members has C(m, 2) same-colored pairs
+    m = next(m for m in itertools.count(2) if comb(m, 2) > SCAN_CEILING)
+    with pytest.raises(ValueError, match=f"over {comb(m, 2)} same-colored pairs, over the ceiling of {SCAN_CEILING}"):
+        non_rainbow_lower_bound(mod_coloring(m, 1))
+    with pytest.raises(Started):
+        non_rainbow_lower_bound(mod_coloring(m - 1, 1))

@@ -190,6 +190,18 @@ def test_pair_membership_sums_to_six_times_total():
         assert s == 6 * total_quads_formula(n)
 
 
+def test_pair_membership_takes_arrays():
+    for n in (6, 13, 40):
+        b, a = np.array([(b, a) for b in range(1, n) for a in range(b + 1, n + 1)]).T
+        got = f_n_exact(n, b, a)
+        assert got.dtype == np.int64
+        assert got.tolist() == [f_n_exact(n, x, y) for x, y in zip(b.tolist(), a.tolist())]
+    assert type(f_n_exact(10, 1, 2)) is int and type(pairs_with_sum(10, 7)) is int
+    assert pairs_with_sum(10, np.arange(25)).tolist() == [brute_pairs(10, l) for l in range(25)]
+    with pytest.raises(ValueError):
+        f_n_exact(10, np.array([1, 3]), np.array([2, 3]))
+
+
 def test_pair_membership_rejects_bad_args():
     with pytest.raises(ValueError):
         f_n_exact(10, 3, 3)

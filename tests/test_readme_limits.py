@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sidonrainbow import cli, counting, enumeration, search
-from sidonrainbow.core import Domain
+from sidonrainbow.core import Domain, mod_coloring
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 # the prose after the CLI block, its line breaks read as spaces
@@ -118,9 +118,12 @@ def test_sweep_ceiling(monkeypatch):
             return True
         return False
 
-    ceiling, top = counting.CLASS_N_CEILING, counting._MAX_N
-    # min(k, n) classes at each n, summed over the list, against one fast count's class ceiling
-    assert largest(lambda n: admitted([1, n, n]), 1) == (ceiling - 1) // 8
+    ceiling, top, least = counting.CLASS_N_CEILING, counting._MAX_N, counting.MIN_CLASS_N
+    # min(k, n) classes at each n, summed over the list, against one fast count's
+    # class ceiling; each count is charged at least MIN_CLASS_N
+    assert largest(lambda n: admitted([1, n, n]), 1) == (ceiling - least) // 8
+    assert largest(lambda r: admitted([4] * r), 1) == ceiling // least
+    assert not admitted([4] * 65000) and not admitted([top] + [4] * 29) and admitted([top] + [4] * 28)
     assert largest(lambda n: admitted([n], "random", 10**9), 1) == math.isqrt(ceiling)
     assert admitted([top] * 4, "random", 1) and not admitted([top] * 5, "random", 1)
     rest = (ceiling - 4 * top) // 4
@@ -133,9 +136,30 @@ def test_sweep_ceiling(monkeypatch):
     quoted(
         "`sweep` checks its whole `--n-list` before the first count",
         f"at most {top:,}, and min(k, n)·n summed over the list is at most the class ceiling that bounds one fast count",
+        f"each count charged at least {least} (`counting.MIN_CLASS_N`)",
+        f"at most {ceiling // least:,} entries of n = 4",
         "at k = 4 (`2097151`), 5.1 s at k = 4 (`1000000,1000000`)",
         f"at k = 1 (four times {top:,},",
+        f"at k = 4 ({ceiling // least:,} times `4`)",
         "k = 42 (`100000,100000`) and 0.22 s at k = 420 (`20000`)",
+    )
+
+
+def test_floor_ceiling(monkeypatch):
+    # the same-colored pairs alone decide: a floor that would reach f_n_exact raises Started
+    def start(*_):
+        raise Started
+
+    monkeypatch.setattr(counting, "f_n_exact", start)
+
+    def admitted(n):
+        with pytest.raises((Started, ValueError)) as e:
+            counting.non_rainbow_lower_bound(mod_coloring(n, 4))
+        return e.type is Started
+
+    quoted(
+        f"more than {enumeration.SCAN_CEILING:,} same-colored pairs, the same `enumeration.SCAN_CEILING`",
+        f"the mod-4 coloring passes up to n = {largest(admitted, 4):,}",
     )
 
 

@@ -37,7 +37,7 @@ def _fold_energy_slow(sets) -> int:
     for s in sets:
         nxt: dict[int, int] = {}
         for m, cnt in acc.items():
-            for a in s.values:
+            for a in s:
                 key = m + a
                 nxt[key] = nxt.get(key, 0) + cnt
         acc = nxt
@@ -50,8 +50,21 @@ def test_intset():
     assert len(s) == 3
     assert 2 in s and 0 not in s
     assert s == IntSet([2, 3, -1])
-    with pytest.raises(ValueError, match="duplicate"):
+    # a hashable tuple, equal to its sorted elements
+    assert isinstance(s, tuple) and s == (-1, 2, 3) and hash(s) == hash((-1, 2, 3))
+    assert (s[0], s[-1]) == (-1, 3) and {s: 1}[(-1, 2, 3)] == 1
+    assert repr(s) == "IntSet([-1, 2, 3])" and repr(IntSet([])) == "IntSet([])"
+    with pytest.raises(ValueError, match="^duplicate element 1$"):
         IntSet([1, 1, 2])
+    with pytest.raises(AttributeError):
+        s.values = (1,)  # no instance dict
+
+
+def test_intset_beyond_int64():
+    big = IntSet([2**70, -(2**70), 2**70 + 3])
+    assert big == (-(2**70), 2**70, 2**70 + 3)
+    assert rep_profile(IntSet([2**70, 2**70 + 1]), IntSet([-(2**70)])) == RepProfile(0, 1, (1, 1))
+    assert additive_energy([IntSet([2**70, 2**70 + 1]), IntSet([-(2**70) - 1, -(2**70)])]) == 2
 
 
 def test_profile_window():
@@ -244,24 +257,24 @@ def test_sum_dominance_on_arrays():
 
 @pytest.mark.parametrize("radii", [(0, 2, 1, 1), (-1, 3, 1, 1)])
 def test_energy_dominance_checks_radii_first(monkeypatch, radii):
-    monkeypatch.setattr(repfn, "rep_profile", lambda A, B: pytest.fail("profile built"))
+    monkeypatch.setattr(repfn, "closed_rep_two_intervals", lambda *args: pytest.fail("closed form read"))
     with pytest.raises(ValueError, match="interval radii must be >= 1"):
         check_energy_dominance(*radii)
 
 
-@given(st.tuples(st.integers(1, 8), st.integers(1, 8), st.integers(1, 8), st.integers(1, 8)))
-def test_energy_dominance_with_shared_profiles(radii):
-    a1, a2, a3, a4 = radii
-    if (a1 + a2 + a3 + a4) % 4:
-        return
-    pairs = {(a, b): rep_profile(interval(a), interval(b)) for a, b in ((a1, a2), (a3, a4))}
-    assert check_energy_dominance(a1, a2, a3, a4, pairs) == check_energy_dominance(a1, a2, a3, a4)
-    # a profile that is too large at one m is caught
-    p = pairs[a1, a2]
-    bigger = list(p.counts)
-    bigger[-p.lo] += (a1 + a2 + a3 + a4) ** 3  # more than the whole right side
-    pairs[a1, a2] = RepProfile(p.lo, p.hi, tuple(bigger))
-    assert not check_energy_dominance(a1, a2, a3, a4, pairs)
+def test_energy_dominance_left_side_is_the_profile_dot(monkeypatch):
+    # the closed-form left side equals sum_m r_{A1+A2}(m) r_{A3+A4}(m) from the
+    # profiles themselves: with the right side set to that dot product the check
+    # holds, and one below it fails
+    for a1, a2, a3, a4 in itertools.product(range(1, 9), repeat=4):
+        s = a1 + a2 + a3 + a4
+        if s % 4:
+            continue
+        p, q = rep_profile(interval(a1), interval(a2)), rep_profile(interval(a3), interval(a4))
+        dot = int(np.dot(p.window(-s, s), q.window(-s, s)))
+        for right, holds in ((dot, True), (dot - 1, False)):
+            monkeypatch.setattr(repfn, "closed_energy4_interval", lambda alpha: right)
+            assert check_energy_dominance(a1, a2, a3, a4) is holds, (a1, a2, a3, a4)
 
 
 @given(st.tuples(st.integers(1, 8), st.integers(1, 8), st.integers(1, 8), st.integers(1, 8)))
