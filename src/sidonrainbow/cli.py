@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import random
 import sys
 from fractions import Fraction
@@ -24,6 +23,7 @@ from .core import Domain, _check_family, mod_coloring, parse_coloring_lines, ran
 from .counting import (
     CLASS_N_CEILING,
     MIN_CLASS_N,
+    MIN_PER_CLASS,
     _check_headroom,
     count_rainbow_cyclic_fast,
     count_rainbow_cyclic_naive,
@@ -33,6 +33,7 @@ from .counting import (
     rainbow_via_energy,
 )
 from .enumeration import (
+    _BLOCK_ROWS,
     _check_scan,
     _check_sum_range,
     count_quads_by_sums,
@@ -81,10 +82,6 @@ def _parse_range(text: str) -> tuple[int, int]:
     return a, b
 
 
-# rows of consecutive pair-sum buckets that total checks at a time: 16 KiB of int32
-_CHECK_ROWS = 1 << 10
-
-
 def _check_rows(q: np.ndarray, n: int) -> None:
     """Raise ValueError naming q's first column that is not a canonical Sidon 4-set of [n]."""
     x1, x2, x3, x4 = q
@@ -97,22 +94,15 @@ def _check_rows(q: np.ndarray, n: int) -> None:
 def _count_enumerated(n: int) -> int:
     """total's third route: the quads enumerate_quads yields, counted after the
     checks SidonQuad makes (x1 > x2 > x3 > x4, x1 + x4 = x2 + x3) and a range
-    check (1 <= x4, x1 <= n), on consecutive pair-sum buckets packed into blocks
-    of _CHECK_ROWS rows (a larger bucket in slices of that many); a ValueError
-    names the first quad that fails, in enumeration order."""
-    block = np.empty((4, _CHECK_ROWS), dtype=np.int32)
-    count = used = 0
+    check (1 <= x4, x1 <= n), block by block (a block of one large pair sum in
+    slices of _BLOCK_ROWS rows); a ValueError names the first quad that fails,
+    in enumeration order."""
+    count = 0
     for q in enumerate_quads(n):
-        for i in range(0, len(q), _CHECK_ROWS):
-            m = min(len(q) - i, _CHECK_ROWS)
-            if used + m > _CHECK_ROWS:
-                _check_rows(block[:, :used], n)
-                used = 0
-            block[:, used : used + m] = q[i : i + m].T
-            used += m
+        for i in range(0, len(q), _BLOCK_ROWS):
+            _check_rows(q[i : i + _BLOCK_ROWS].T, n)
         count += len(q)
-        del q  # before the next bucket is built
-    _check_rows(block[:, :used], n)
+        del q  # before the next block is built
     return count
 
 
@@ -208,15 +198,18 @@ def _suite_closed_forms() -> list[tuple[str, bool]]:
             if alpha == beta:
                 one_ok &= np.array_equal(closed_rep_one_interval(alpha, ms), values)
     e4_ok = all(closed_energy4_interval(a) == additive_energy([_interval(a)] * 4) for a in range(1, 21))
+    # the radius tuples in 1..8 with 4 | s as columns, checked in slabs of 32 (each
+    # call's arrays under 10 KiB) that share min(a1 + a2, a3 + a4): the pointwise
+    # bound holds inside both pair supports, |m| <= that reach
+    radii = np.indices((8,) * 4, dtype=np.int8).reshape(4, -1) + 1
+    radii = radii[:, radii.sum(axis=0, dtype=np.int8) % 4 == 0]
+    reaches = np.minimum(radii[0] + radii[1], radii[2] + radii[3])
     sum_ok = product_ok = True
-    for a1, a2, a3, a4 in itertools.product(range(1, 9), repeat=4):
-        s = a1 + a2 + a3 + a4
-        if s % 4:
-            continue
-        # the pointwise bound holds inside both pair supports
-        reach = min(a1 + a2, a3 + a4)
-        sum_ok &= check_sum_dominance(a1, a2, a3, a4, np.arange(-reach, reach + 1))
-        product_ok &= check_energy_dominance(a1, a2, a3, a4)
+    for reach in range(2, 17):
+        same = radii[:, reaches == reach]
+        for slab in (same[:, i : i + 32] for i in range(0, same.shape[1], 32)):
+            sum_ok &= check_sum_dominance(*slab, np.arange(-reach, reach + 1))
+            product_ok &= check_energy_dominance(*slab)
     return [("rep two intervals", two_ok), ("rep one interval", one_ok),
             ("interval energy", e4_ok), ("sum dominance", sum_ok), ("product dominance", product_ok)]
 
@@ -240,8 +233,8 @@ def _suite_floor(trials: int, seed: int) -> list[tuple[str, bool]]:
     return [("non-rainbow floor", ok)]
 
 
-# The most --trials one verify may take: --suite all at the ceiling takes 1.0 to
-# 1.6 s on a 2-vCPU x86 host (numpy 2.4), and 0.12 s at the default of 500.
+# The most --trials one verify may take: --suite all at the ceiling takes 0.8 to
+# 1.3 s on a 2-vCPU x86 host (numpy 2.4), and 0.06 to 0.09 s at the default of 500.
 MAX_TRIALS = 10_000
 
 
@@ -272,16 +265,20 @@ def _cmd_sweep(args) -> int:
     k = args.k
     # the limits for the whole list, checked before the first count: each n,
     # then one fast count's class ceiling over the list's min(k, n) classes,
-    # each count charged at least MIN_CLASS_N
+    # each count charged at least MIN_CLASS_N; a list within it is checked again
+    # with each class charged at least MIN_PER_CLASS, so a list refused without
+    # that floor keeps its message
     for n in ns:
         _check_family(n, k, surjective=args.coloring == "mod")
         _check_headroom(n)
-    work = sum(max(min(k, n) * n, MIN_CLASS_N) for n in ns)
-    if work > CLASS_N_CEILING:
-        least = f", each count at least {MIN_CLASS_N}," if work > sum(min(k, n) * n for n in ns) else ""
-        raise ValueError(
-            f"the n-list's color classes times n{least} sum to {work}, over the ceiling of {CLASS_N_CEILING}"
-        )
+    raw = sum(min(k, n) * n for n in ns)
+    for per_class, floor in ((1, ""), (MIN_PER_CLASS, f" each class at least {MIN_PER_CLASS} and")):
+        work = sum(max(min(k, n) * max(n, per_class), MIN_CLASS_N) for n in ns)
+        if work > CLASS_N_CEILING:
+            least = f",{floor} each count at least {MIN_CLASS_N}," if work > raw else ""
+            raise ValueError(
+                f"the n-list's color classes times n{least} sum to {work}, over the ceiling of {CLASS_N_CEILING}"
+            )
     lb, ub = lb_coefficient(k), ub_general_coefficient(k)
     out = io.StringIO()
     writer = csv.writer(out)

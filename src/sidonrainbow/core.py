@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
+import numpy as np
+
 
 class Domain(Enum):
     INTERVAL = "interval"
@@ -151,10 +153,22 @@ def mod_coloring(n: int, k: int, domain: Domain = Domain.INTERVAL) -> Coloring:
 
 
 def random_coloring(n: int, k: int, seed: int, domain: Domain = Domain.INTERVAL) -> Coloring:
-    """Uniform independent colors from {1..k}, deterministic in seed."""
+    """Uniform independent colors from {1..k}, deterministic in seed: the n values
+    random.Random(seed).randint(1, k) gives, drawn in bulk. Each is a getrandbits(b)
+    below k, b = k.bit_length(): w = ceil(b / 32) Mersenne Twister words, low first,
+    the last shifted right by 32w - b; getrandbits(32w * d) gives d such draws' words."""
     _check_family(n, k, surjective=False)
-    rng = random.Random(seed)
-    return Coloring(domain, n, k, tuple(rng.randint(1, k) for _ in range(n)))
+    rng, b = random.Random(seed), k.bit_length()
+    w = -(-b // 32)
+    kept: list[int] = []
+    while len(kept) < n:
+        d = n - len(kept)  # each draw keeps at most one color
+        words = np.frombuffer(rng.getrandbits(32 * w * d).to_bytes(4 * w * d, "little"), "<u4").reshape(d, w)
+        draws = words[:, -1].astype(object if w > 1 else np.uint32) >> (32 * w - b)
+        for i in range(w - 2, -1, -1):  # a draw over 32 bits, in Python ints
+            draws = draws << 32 | words[:, i].astype(object)
+        kept += (draws[draws < k] + 1).tolist()
+    return Coloring(domain, n, k, tuple(kept))
 
 
 def coloring_dict(c: Coloring) -> dict:

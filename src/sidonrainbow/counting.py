@@ -150,6 +150,9 @@ CLASS_N_CEILING = 8_400_000
 # The least a sweep charges one count against that ceiling, for its fixed cost:
 # a count at n = 4 took about 0.2 ms there, 400 units at the ceiling's 0.5 us each.
 MIN_CLASS_N = 400
+# The least it charges each of the count's min(k, n) color classes: counts at
+# k = 42 took about 0.38 ms at n = 8 and 0.6 ms at n = 16, 95 and 75 units a class.
+MIN_PER_CLASS = 100
 
 
 def _check_classes(classes: int, n: int) -> None:

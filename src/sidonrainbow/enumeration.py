@@ -3,8 +3,8 @@
 Pairs {a < b} of [n] with a + b = l exist for max(1, l-n) <= a <= (l-1)//2, and
 two distinct pairs with the same sum are automatically disjoint, so every
 unordered pair of same-sum pairs is one Sidon 4-set. That observation drives
-the enumerator, which builds the quads of one pair sum at a time as a numpy
-array of rows (x1, x2, x3, x4), and the sum-bucket counting oracle.
+the enumerator, which builds the quads of consecutive whole pair sums as
+blocks of numpy rows (x1, x2, x3, x4), and the sum-bucket counting oracle.
 """
 from __future__ import annotations
 
@@ -39,9 +39,13 @@ def pairs_with_sum(n: int, l):
     return p if isinstance(p, np.ndarray) else int(p)
 
 
+_BLOCK_ROWS = 1 << 10  # the most rows a block of enumerate_quads holds, unless one sum has more
+
+
 def enumerate_quads(n: int) -> Iterator[np.ndarray]:
-    """Yield every canonical Sidon 4-set of [n] exactly once, as one int32 array
-    of rows (x1, x2, x3, x4) per nonempty pair sum, unchecked.
+    """Yield every canonical Sidon 4-set of [n] exactly once, as int32 blocks of
+    rows (x1, x2, x3, x4), unchecked, each of whole consecutive pair sums and at
+    most _BLOCK_ROWS rows unless it holds one sum alone.
 
     Order is part of the contract: pair-sum l ascending, then the tuple
     (x1, x2, x3, x4) lexicographically ascending within each l.
@@ -49,7 +53,7 @@ def enumerate_quads(n: int) -> Iterator[np.ndarray]:
     A sum l has p pairs {l - x, x}, smaller element x from hi down to lo, and
     its quads are the index pairs c < r < p in row-major order: x4 = hi - r,
     x3 = hi - c. The first C(p, 2) of them serve every smaller p, so one int32
-    table, for the largest sum's n // 2 pairs, is built and sliced.
+    table, for the largest sum's n // 2 pairs, is built, then sliced or gathered.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -57,20 +61,35 @@ def enumerate_quads(n: int) -> Iterator[np.ndarray]:
     rows = np.repeat(r, r)
     cols = np.arange(len(rows), dtype=np.int32)
     cols -= np.repeat(r * (r - 1) // 2, r)  # the index where row r starts
-    for l in range(5, 2 * n):
-        lo, hi = max(1, l - n), (l - 1) // 2
-        p = hi - lo + 1
-        m = p * (p - 1) // 2
+    p = pairs_with_sum(n, np.arange(5, 2 * n))
+    ends = np.zeros(len(p) + 1, dtype=np.int64)  # ends[i]: the quads of the sums below l = 5 + i
+    np.cumsum(p * (p - 1) // 2, out=ends[1:])
+    del p
+    start = 0
+    while start < len(ends) - 1:
+        # the sums l = start + 5 .. stop + 4: as many as fit in _BLOCK_ROWS rows, at least one
+        first = ends[start]
+        stop = max(start + 1, int(np.searchsorted(ends, first + _BLOCK_ROWS, "right")) - 1)
+        m = int(ends[stop] - first)
+        if stop == start + 1:
+            at, l = slice(0, m), start + 5
+        else:
+            counts = ends[start + 1 : stop + 1] - ends[start:stop]
+            at = np.arange(m) - np.repeat(ends[start:stop] - first, counts)
+            l = np.repeat(np.arange(start + 5, stop + 5, dtype=np.int32), counts)
+        start = stop
         if m == 0:
             continue
         # filled column by column, so each column is contiguous
         x1, x2, x3, x4 = q = np.empty((4, m), dtype=np.int32)
-        np.subtract(hi, rows[:m], out=x4)
-        np.subtract(hi, cols[:m], out=x3)
+        hi = (l - 1) // 2
+        np.subtract(hi, rows[at], out=x4)
+        np.subtract(hi, cols[at], out=x3)
         np.subtract(l, x3, out=x2)
         np.subtract(l, x4, out=x1)
+        del at, l, hi, x1, x2, x3, x4  # only the block outlives the yield
         yield q.T
-        del x1, x2, x3, x4, q  # so a consumer that drops each block holds one at a time
+        del q  # so a consumer that drops each block holds one at a time
 
 
 def total_quads_formula(n: int) -> int:

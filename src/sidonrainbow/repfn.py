@@ -4,8 +4,8 @@ All counts are exact integers. A profile is a direct pairwise accumulation:
 np.bincount tallies the sums a + b of a block of rows of A against all of B,
 about _BLOCK pairs (at least one row) at a time. The energy fold convolves
 indicator arrays with numpy's integer convolution, a separate route checked
-against a pure-Python fold in tests. The closed forms and the pointwise
-dominance check take one m or an int64 array of m.
+against a pure-Python fold in tests. The closed forms and both dominance
+checks take ints or int64 arrays of radii and of m, and broadcast over them.
 """
 from __future__ import annotations
 
@@ -130,54 +130,61 @@ def additive_energy(sets: Sequence[IntSet]) -> int:
     return 0
 
 
-def closed_rep_two_intervals(alpha: int, beta: int, m):
+def closed_rep_two_intervals(alpha, beta, m):
     """r_{[-alpha,alpha]+[-beta,beta]}(m): a plateau of height 2*alpha+1 for
     |m| <= beta-alpha, linear decay alpha+beta+1-|m| out to |m| = alpha+beta, then 0.
-    An int m gives an int; an int64 array of m gives the int64 array of values."""
-    if alpha < 1 or alpha > beta:
+    Ints give an int; arrays of m (and of radii) give the broadcast int64 array."""
+    alpha, beta = np.asarray(alpha, dtype=np.int64), np.asarray(beta, dtype=np.int64)
+    if not np.all((1 <= alpha) & (alpha <= beta)):
         raise ValueError(f"need 1 <= alpha <= beta, got alpha={alpha}, beta={beta}")
     # the decay alpha+beta+1-|m| is at least 2*alpha+1 exactly on the plateau
     r = np.minimum(np.maximum(alpha + beta + 1 - abs(m), 0), 2 * alpha + 1)
-    return r if isinstance(m, np.ndarray) else int(r)
+    return r if isinstance(r, np.ndarray) else int(r)
 
 
-def closed_rep_one_interval(alpha: int, m):
+def closed_rep_one_interval(alpha, m):
     """r_{J+J}(m) for J = [-alpha, alpha]: the triangle 2*alpha+1-|m|, clipped at 0.
-    An int m gives an int; an int64 array of m gives the int64 array of values."""
-    if alpha < 1:
+    Ints give an int; arrays of m (and of alpha) give the broadcast int64 array."""
+    alpha = np.asarray(alpha, dtype=np.int64)
+    if np.any(alpha < 1):
         raise ValueError(f"need alpha >= 1, got {alpha}")
     r = np.maximum(2 * alpha + 1 - abs(m), 0)
-    return r if isinstance(m, np.ndarray) else int(r)
+    return r if isinstance(r, np.ndarray) else int(r)
 
 
-def closed_energy4_interval(alpha: int) -> int:
-    """E_4 of four copies of [-alpha, alpha]: 16a^3/3 + 8a^2 + 14a/3 + 1, exactly.
+def closed_energy4_interval(alpha):
+    """E_4 of four copies of [-alpha, alpha]: 16a^3/3 + 8a^2 + 14a/3 + 1, exactly,
+    for an int or elementwise for an array of alpha, widened to int64.
 
     16a^3 + 14a is always divisible by 3, so the value is an integer.
     """
-    if alpha < 1:
+    alpha = alpha.astype(np.int64) if isinstance(alpha, np.ndarray) else alpha
+    if np.any(alpha < 1):
         raise ValueError(f"need alpha >= 1, got {alpha}")
     cubic = 16 * alpha**3 + 14 * alpha
-    assert cubic % 3 == 0
+    assert np.all(cubic % 3 == 0)
     return cubic // 3 + 8 * alpha**2 + 1
 
 
-def _pair_reps(a1: int, a2: int, a3: int, a4: int, m) -> tuple[int, np.ndarray, np.ndarray]:
+def _pair_reps(a1, a2, a3, a4, m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """s = a1+a2+a3+a4 (radii >= 1, 4 | s, else ValueError), then r_{A1+A2} and
-    r_{A3+A4} at the int64 array m, A_i = [-a_i, a_i], from the closed forms."""
-    if min(a1, a2, a3, a4) < 1:
+    r_{A3+A4}, A_i = [-a_i, a_i], from the closed forms: radii of shape S and m
+    of shape (M,) give s of shape S + (1,) and values of shape S + (M,)."""
+    a1, a2, a3, a4 = (np.asarray(a, dtype=np.int64)[..., None] for a in (a1, a2, a3, a4))
+    if np.any(np.minimum(np.minimum(a1, a2), np.minimum(a3, a4)) < 1):
         raise ValueError("interval radii must be >= 1")
     s = a1 + a2 + a3 + a4
-    if s % 4 != 0:
-        raise ValueError(f"sum of radii must be divisible by 4, got {s}")
-    r12, r34 = (closed_rep_two_intervals(min(a, b), max(a, b), m) for a, b in ((a1, a2), (a3, a4)))
+    if np.any(s % 4):
+        raise ValueError(f"sum of radii must be divisible by 4, got {s[s % 4 != 0][0]}")
+    r12, r34 = (closed_rep_two_intervals(np.minimum(a, b), np.maximum(a, b), m) for a, b in ((a1, a2), (a3, a4)))
     return s, r12, r34
 
 
-def check_sum_dominance(a1: int, a2: int, a3: int, a4: int, m) -> bool:
+def check_sum_dominance(a1, a2, a3, a4, m) -> bool:
     """With A_i = [-a_i, a_i] and J = [-s/4, s/4] for s = a1+a2+a3+a4 (4 | s),
     test r_{A1+A2}(m) + r_{A3+A4}(m) <= 2 r_{J+J}(m) at m, an int or an int64
-    array of m (True when it holds at every one; ValueError if any |m| > s/2).
+    array of m, for radii given as ints or as arrays of radius tuples (True when
+    it holds for every tuple at every m; ValueError if any |m| > s/2).
 
     Truthful evaluation: the inequality provably holds whenever |m| lies within
     both pair supports (|m| <= a1+a2 and |m| <= a3+a4) but can fail once one
@@ -188,24 +195,24 @@ def check_sum_dominance(a1: int, a2: int, a3: int, a4: int, m) -> bool:
     """
     m = np.asarray(m, dtype=np.int64)
     s, r12, r34 = _pair_reps(a1, a2, a3, a4, m)
-    worst = int(np.abs(m).max(initial=0))
-    if worst > s // 2:
-        raise ValueError(f"|m| = {worst} exceeds {s // 2}")
-    return bool((r12 + r34 <= 2 * closed_rep_one_interval(s // 4, m)).all())
+    if np.any(abs(m) > s // 2):
+        raise ValueError(f"|m| = {abs(m).max()} exceeds {(s // 2).min()}")
+    return bool(np.all(r12 + r34 <= 2 * closed_rep_one_interval(s // 4, m)))
 
 
-def check_energy_dominance(a1: int, a2: int, a3: int, a4: int) -> bool:
+def check_energy_dominance(a1, a2, a3, a4) -> bool:
     """Aggregate form: sum_m r_{A1+A2}(m) * r_{A3+A4}(m) <= sum_{|m| <= s/2} r_{J+J}(m)^2,
-    which is E_4 of four copies of J = [-s/4, s/4] (closed_energy4_interval).
+    which is E_4 of four copies of J = [-s/4, s/4] (closed_energy4_interval), for
+    radii given as ints or as arrays of radius tuples (True when every tuple holds).
 
     Holds for every radius tuple with 4 | s: where both factors are positive the
     pointwise bound applies, and elsewhere the product is zero. The left side
-    is read off the closed forms over |m| <= min(a1 + a2, a3 + a4), where both
-    factors can be non-zero.
+    is read off the closed forms over |m| <= the widest min(a1 + a2, a3 + a4):
+    outside a tuple's own, one of its factors is zero.
     """
-    reach = min(a1 + a2, a3 + a4)
+    reach = np.max(np.minimum(np.add(a1, a2, dtype=np.int64), np.add(a3, a4, dtype=np.int64)), initial=0)
     s, r12, r34 = _pair_reps(a1, a2, a3, a4, np.arange(-reach, reach + 1))
-    return int(np.dot(r12, r34)) <= closed_energy4_interval(s // 4)
+    return bool(np.all(np.sum(r12 * r34, axis=-1) <= closed_energy4_interval(s[..., 0] // 4)))
 
 
 def check_lev(sets: Sequence[IntSet]) -> bool:

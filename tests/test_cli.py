@@ -242,9 +242,10 @@ def test_total_fails_on_a_bad_enumerated_quad(capsys, monkeypatch, bad):
 
     def one_bad(n):
         for q in real(n):
-            if n == 9 and q[0].tolist() == [6, 5, 4, 3]:
+            hit = (q == (6, 5, 4, 3)).all(axis=1)
+            if n == 9 and hit.any():
                 q = q.copy()
-                q[0] = bad
+                q[hit] = bad
             yield q
 
     monkeypatch.setattr(cli, "enumerate_quads", one_bad)
@@ -256,23 +257,26 @@ def test_total_fails_on_a_bad_enumerated_quad(capsys, monkeypatch, bad):
 
 def corrupt(monkeypatch, n, rows):
     """Make cli's enumerate_quads(n) yield a wrong row (x1, x2, x3, x4) at each
-    (pair sum, row index) key of `rows`."""
+    (pair sum, index among that sum's rows) key of `rows`; a block may hold
+    several sums."""
     def bad_rows(m):
         for q in enumerate_quads(m):
-            l = int(q[0, 0] + q[0, 3])
+            sums = q[:, 0] + q[:, 3]
             for (sum_, i), row in rows.items():
-                if m == n and sum_ == l:
+                at = np.flatnonzero(sums == sum_)
+                if m == n and len(at):
                     q = q.copy()
-                    q[i] = row
+                    q[at[i]] = row
             yield q
 
     monkeypatch.setattr(cli, "enumerate_quads", bad_rows)
 
 
 def test_total_names_a_bad_row_inside_a_packed_block(capsys, monkeypatch):
-    # at n = 20 every bucket fits one block: the bad rows sit in the 17th and
-    # 22nd buckets, neither at its bucket's first row, and the first is named
-    assert total_quads_formula(20) <= cli._CHECK_ROWS
+    # at n = 20 every pair sum fits one block: the bad rows sit in the 17th and
+    # 22nd sums, neither at its sum's first row, and the first is named
+    assert total_quads_formula(20) <= enumeration._BLOCK_ROWS
+    assert len(list(enumerate_quads(20))) == 1
     corrupt(monkeypatch, 20, {(21, 3): (9, 8, 7, 5), (26, 2): (20, 1, 4, 5)})
     rc, out, err = run(capsys, "total", "--n", "20")
     assert rc == 1 and out == ""
@@ -280,8 +284,9 @@ def test_total_names_a_bad_row_inside_a_packed_block(capsys, monkeypatch):
 
 
 def test_total_names_a_bad_row_in_a_bucket_larger_than_a_block(capsys, monkeypatch):
-    # at n = 100 the bucket of sum 100 has C(49, 2) = 1176 rows, more than a block
-    assert 49 * 48 // 2 > cli._CHECK_ROWS
+    # at n = 100 the sum 100 has C(49, 2) = 1176 rows, more than a block, and
+    # makes a block of its own, checked in two slices
+    assert 49 * 48 // 2 > enumeration._BLOCK_ROWS
     corrupt(monkeypatch, 100, {(100, 1100): (60, 41, 30, 30), (101, 5): (1, 2, 3, 4)})
     rc, _, err = run(capsys, "total", "--n", "100", "--brute")
     assert rc == 1 and "(60, 41, 30, 30)" in err and "(1, 2, 3, 4)" not in err
@@ -386,23 +391,30 @@ def test_verify_checks_trials_ceiling_before_any_suite(capsys, monkeypatch, suit
     assert calls
 
 
-def plus_one_at(real, hit):
-    """`real` with 1 added wherever hit(args, m) holds; m is an int or an array of m."""
-    return lambda *args: real(*args) + hit(args[:-1], np.asarray(args[-1]))
+def plus_one_at(real, point):
+    """`real` with 1 added wherever its arguments, ints or broadcast arrays of
+    radii and m, all equal the entries of `point`."""
+    def wrong(*args):
+        hit = True
+        for arg, value in zip(args, point, strict=True):
+            hit = hit & (np.asarray(arg) == value)
+        return real(*args) + hit
+
+    return wrong
 
 
 # one entry made wrong through what each lemma line reads
 LEMMA_FAULTS = {
     "rep two intervals": [
-        (cli, "closed_rep_two_intervals", lambda f: plus_one_at(f, lambda ab, m: (ab == (3, 7)) * (m == -2)))
+        (cli, "closed_rep_two_intervals", lambda f: plus_one_at(f, (3, 7, -2)))
     ],
     "rep one interval": [
-        (cli, "closed_rep_one_interval", lambda f: plus_one_at(f, lambda a, m: (a == (5,)) * (m == 3)))
+        (cli, "closed_rep_one_interval", lambda f: plus_one_at(f, (5, 3)))
     ],
     "interval energy": [(cli, "closed_energy4_interval", lambda f: lambda a: f(a) + (a == 7))],
     # r_{[-1,1]+[-1,1]}(0) + r_{[-1,1]+[-1,1]}(0) = 6 = 2 r_{J+J}(0) holds with equality at radii (1, 1, 1, 1)
     "sum dominance": [
-        (repfn, "closed_rep_two_intervals", lambda f: plus_one_at(f, lambda ab, m: (ab == (1, 1)) * (m == 0)))
+        (repfn, "closed_rep_two_intervals", lambda f: plus_one_at(f, (1, 1, 0)))
     ],
     # r_{[-1,1]+[-1,1]} . r_{[-1,1]+[-1,1]} = 1 + 4 + 9 + 4 + 1 = 19 = E_4(1) holds with equality at radii (1, 1, 1, 1)
     "product dominance": [(repfn, "closed_energy4_interval", lambda f: lambda a: f(a) - (a == 1))],
@@ -553,6 +565,12 @@ FAILURES = {
     ("sweep", "--k", "4", "--n-list", ",".join(["2097151"] + ["4"] * 29), "--coloring", "random", "--out", "s.csv"): (
         1, "", "the n-list's color classes times n, each count at least 400, sum to 8400204, "
         "over the ceiling of 8400000\n",
+    ),
+    # and each color class at least MIN_PER_CLASS: 42 * 199000 + 27 * 16 * 100 (8368800, under
+    # the ceiling, with each count alone charged 400)
+    ("sweep", "--k", "42", "--n-list", ",".join(["199000"] + ["16"] * 27), "--coloring", "random", "--out", "s.csv"): (
+        1, "", "the n-list's color classes times n, each class at least 100 and each count at least 400, "
+        "sum to 8401200, over the ceiling of 8400000\n",
     ),
     ("sweep", "--k", "4", "--n-list", "600000,0", "--coloring", "random", "--out", "s.csv"): (
         1, "", "need n >= 1 and k >= 1, got n=0, k=4\n",

@@ -1,5 +1,6 @@
 """Colorings, quads, and the JSON round trip."""
 import json
+import random
 
 import pytest
 from hypothesis import given
@@ -74,6 +75,30 @@ def test_random_coloring_deterministic():
     assert a == b
     assert a != random_coloring(50, 5, seed=8)
     assert all(1 <= col <= 5 for col in a.colors)
+
+
+def randint_colors(n, k, seed):
+    """Reference: the colors random.Random(seed).randint(1, k) draws one at a time."""
+    rng = random.Random(seed)
+    return tuple(rng.randint(1, k) for _ in range(n))
+
+
+# one to three 32-bit words per draw, with few and with many draws rejected
+DRAW_WIDTHS = [1, 2, 3, 5, 42, 2**31 - 1, 2**31, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1, 2**40, 2**64 + 7]
+
+
+@pytest.mark.parametrize("k", DRAW_WIDTHS)
+@pytest.mark.parametrize("seed", [0, 7, 12345])
+def test_random_coloring_is_the_randint_stream(k, seed):
+    for n in (1, 2, 17, 1000):
+        c = random_coloring(n, k, seed)
+        assert c.colors == randint_colors(n, k, seed)
+        assert set(map(type, c.colors)) == {int}
+
+
+@given(st.integers(1, 3000), st.integers(1, 2**33), st.integers(0, 2**64))
+def test_random_coloring_matches_randint(n, k, seed):
+    assert random_coloring(n, k, seed).colors == randint_colors(n, k, seed)
 
 
 def test_quad_validation():

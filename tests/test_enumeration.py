@@ -45,13 +45,32 @@ def test_enumerate_small():
         list(enumerate_quads(0))
 
 
-def test_enumerate_yields_int32_rows_per_pair_sum():
+def per_sum_blocks(n):
+    """Reference: the quads of each nonempty pair sum l as an int32 array of its
+    own, in the enumeration's order, built from the index pairs c < r < p."""
+    for l in range(5, 2 * n):
+        lo, hi = max(1, l - n), (l - 1) // 2
+        rows = [(l - hi + r, l - hi + c, hi - c, hi - r) for r in range(hi - lo + 1) for c in range(r)]
+        if rows:
+            yield np.array(rows, dtype=np.int32)
+
+
+def test_enumerate_yields_int32_blocks_of_whole_pair_sums():
     assert inspect.isgeneratorfunction(enumerate_quads)  # the benchmark tracer times it per next()
-    for n in (4, 9, 20):
-        arrays = list(enumerate_quads(n))
-        assert all(q.dtype == np.int32 and q.ndim == 2 and q.shape[1] == 4 and len(q) for q in arrays)
-        sums = [set((q[:, 0] + q[:, 3]).tolist()) for q in arrays]
-        assert all(len(s) == 1 for s in sums) and len(set.union(*sums)) == len(arrays)
+    for n in (1, 3, 4, 9, 20, 60, 100, 101):
+        blocks = list(enumerate_quads(n))
+        assert all(q.dtype == np.int32 and q.ndim == 2 and q.shape[1] == 4 and len(q) for q in blocks)
+        sums = [(q[:, 0] + q[:, 3]).tolist() for q in blocks]
+        # ascending inside each block, a block at most _BLOCK_ROWS rows or one sum alone
+        assert all(s == sorted(s) and (len(s) <= enumeration._BLOCK_ROWS or s[0] == s[-1]) for s in sums)
+        # no sum is split between two blocks, and a block ends only where the
+        # next sum would take it past _BLOCK_ROWS rows
+        assert all(a[-1] < b[0] and len(a) + b.count(b[0]) > enumeration._BLOCK_ROWS for a, b in zip(sums, sums[1:]))
+        reference = list(per_sum_blocks(n))
+        joined = np.concatenate(blocks) if blocks else np.empty((0, 4), dtype=np.int32)
+        assert np.array_equal(joined, np.concatenate(reference) if reference else joined)
+        # at n = 100 and 101 the middle sums have more rows than a block holds
+        assert any(len(q) > enumeration._BLOCK_ROWS for q in blocks) == (n >= 100)
 
 
 def test_enumerate_matches_subset_scan():

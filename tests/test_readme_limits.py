@@ -42,6 +42,7 @@ def quoted(*phrases: str) -> None:
 def test_scan_ceiling():
     n = largest(lambda n: enumeration.total_quads_formula(n) <= enumeration.SCAN_CEILING, 1)
     quoted(f"more than {enumeration.SCAN_CEILING:,} quads", f"(n = {n} at most)")
+    quoted(f"blocks of whole pair sums, at most {enumeration._BLOCK_ROWS:,} rows")
 
 
 def test_sums_ceiling():
@@ -124,6 +125,12 @@ def test_sweep_ceiling(monkeypatch):
     assert largest(lambda n: admitted([1, n, n]), 1) == (ceiling - least) // 8
     assert largest(lambda r: admitted([4] * r), 1) == ceiling // least
     assert not admitted([4] * 65000) and not admitted([top] + [4] * 29) and admitted([top] + [4] * 28)
+    # and each of a count's min(k, n) classes at least MIN_PER_CLASS, which
+    # never charges four classes more than MIN_CLASS_N
+    per = counting.MIN_PER_CLASS
+    assert 4 * per <= least
+    assert largest(lambda r: admitted([16] * r, "random", 42), 1) == ceiling // (16 * per)
+    assert not admitted([16] * 21000, "random", 42) and admitted([16] * 21000, "random", 4)
     assert largest(lambda n: admitted([n], "random", 10**9), 1) == math.isqrt(ceiling)
     assert admitted([top] * 4, "random", 1) and not admitted([top] * 5, "random", 1)
     rest = (ceiling - 4 * top) // 4
@@ -137,11 +144,14 @@ def test_sweep_ceiling(monkeypatch):
         "`sweep` checks its whole `--n-list` before the first count",
         f"at most {top:,}, and min(k, n)·n summed over the list is at most the class ceiling that bounds one fast count",
         f"each count charged at least {least} (`counting.MIN_CLASS_N`)",
-        f"at most {ceiling // least:,} entries of n = 4",
-        "at k = 4 (`2097151`), 5.1 s at k = 4 (`1000000,1000000`)",
-        f"at k = 1 (four times {top:,},",
+        f"each of its min(k, n) classes at least {per} (`counting.MIN_PER_CLASS`)",
+        f"at most {ceiling // least:,} entries of n = 4, and {ceiling // (16 * per):,} of n = 16 at k = 42",
+        "at k = 4 (`2097151`), 3.6 s at k = 4 (`1000000,1000000`)",
+        f"at k = 1 (four times {top:,})",
         f"at k = 4 ({ceiling // least:,} times `4`)",
-        "k = 42 (`100000,100000`) and 0.22 s at k = 420 (`20000`)",
+        f"at k = 42 ({ceiling // (16 * per):,} times `16`)",
+        "k = 42 (`100000,100000`)",
+        "and 0.15 s at k = 420 (`20000`)",
     )
 
 

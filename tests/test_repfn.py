@@ -205,6 +205,80 @@ def test_closed_forms_on_arrays_match_scalar_calls(alpha, extra):
     assert one.tolist() == [closed_rep_one_interval(alpha, m) for m in ms.tolist()]
 
 
+RADIUS_DTYPES = st.sampled_from([np.int8, np.int16, np.int64])
+
+
+@given(RADIUS_DTYPES, st.lists(st.tuples(st.integers(1, 100), st.integers(0, 27)), min_size=1, max_size=6),
+       st.lists(st.integers(-260, 260), max_size=12))
+def test_closed_forms_broadcast_over_radius_grids(dtype, radii, ms):
+    # alpha + beta reaches 227 and 16 alpha^3 1.6 * 10^7: an int8 or int16 grid
+    # computed in its own dtype would wrap
+    alpha = np.array([a for a, _ in radii], dtype=dtype)
+    beta = np.array([a + e for a, e in radii], dtype=dtype)
+    m = np.array(ms, dtype=np.int64)
+    two = closed_rep_two_intervals(alpha[:, None], beta[:, None], m)
+    one = closed_rep_one_interval(alpha[:, None], m)
+    e4 = closed_energy4_interval(alpha)
+    assert two.dtype == one.dtype == e4.dtype == np.int64
+    assert two.shape == one.shape == (len(radii), len(ms))
+    pairs = list(zip(alpha.tolist(), beta.tolist()))
+    assert two.tolist() == [[closed_rep_two_intervals(a, b, x) for x in ms] for a, b in pairs]
+    assert one.tolist() == [[closed_rep_one_interval(a, x) for x in ms] for a, _ in pairs]
+    assert e4.tolist() == [closed_energy4_interval(a) for a, _ in pairs]
+
+
+def test_closed_forms_refuse_a_grid_with_one_bad_radius():
+    good = np.array([1, 2, 3])
+    with pytest.raises(ValueError, match="need 1 <= alpha <= beta"):
+        closed_rep_two_intervals(good, np.array([1, 1, 3]), 0)
+    for bad in (np.array([1, 0, 3]), np.array([2, -1, 1], dtype=np.int8)):
+        with pytest.raises(ValueError, match="need alpha >= 1"):
+            closed_rep_one_interval(bad, 0)
+        with pytest.raises(ValueError, match="need alpha >= 1"):
+            closed_energy4_interval(bad)
+
+
+# radius tuples in 1..8 with 4 | s: the last radius makes up the sum
+DIVISIBLE_TUPLES = st.lists(
+    st.tuples(st.integers(1, 8), st.integers(1, 8), st.integers(1, 8), st.integers(0, 1)).map(
+        lambda t: (*t[:3], 4 - sum(t[:3]) % 4 + 4 * t[3])
+    ),
+    min_size=1,
+    max_size=10,
+)
+
+
+@given(RADIUS_DTYPES, DIVISIBLE_TUPLES, st.integers(0, 6))
+def test_dominance_checks_on_radius_arrays_are_all_of_the_scalar_calls(dtype, tuples, reach):
+    # m may leave a pair's support, where sum dominance can fail for one tuple,
+    # but stays within every s/2
+    radii = np.array(tuples, dtype=dtype).T
+    reach = min(reach, *(sum(t) // 2 for t in tuples))
+    ms = np.arange(-reach, reach + 1)
+    assert check_sum_dominance(*radii, ms) is all(check_sum_dominance(*t, ms) for t in tuples)
+    assert check_energy_dominance(*radii) is all(check_energy_dominance(*t) for t in tuples) is True
+
+
+def test_energy_dominance_on_arrays_fails_with_one_tuple(monkeypatch):
+    # radii (1, 1, 1, 1) hold with equality, 19 = E_4(1): one below fails them alone
+    monkeypatch.setattr(repfn, "closed_energy4_interval", lambda alpha: closed_energy4_interval(alpha) - (alpha == 1))
+    grid = np.array([(2, 2, 2, 2), (1, 3, 2, 2), (3, 3, 1, 1)]).T
+    assert check_energy_dominance(*grid)
+    assert not check_energy_dominance(*np.concatenate([grid, np.ones((4, 1), dtype=np.int64)], axis=1))
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [((1, 1, 1, 2), "divisible by 4"), ((0, 2, 1, 1), "radii"), ((2, 1, -1, 2), "radii")],
+)
+def test_dominance_checks_refuse_an_array_with_one_bad_tuple(bad, message):
+    radii = np.array([(1, 1, 1, 1), bad, (2, 2, 2, 2)]).T
+    with pytest.raises(ValueError, match=message):
+        check_energy_dominance(*radii)
+    with pytest.raises(ValueError, match=message):
+        check_sum_dominance(*radii, np.arange(-1, 2))
+
+
 def test_closed_forms_scalar_calls_return_int():
     assert type(closed_rep_two_intervals(2, 5, 3)) is int
     assert type(closed_rep_two_intervals(2, 5, 40)) is int
@@ -253,6 +327,9 @@ def test_sum_dominance_on_arrays():
         assert check_sum_dominance(*radii, ms) == all(check_sum_dominance(*radii, m) for m in ms.tolist())
     with pytest.raises(ValueError, match="exceeds"):
         check_sum_dominance(1, 1, 1, 1, np.array([0, 1, -3]))
+    # on radius arrays: |m| = 3 is past s/2 = 2 for (1, 1, 1, 1) alone
+    with pytest.raises(ValueError, match="^\\|m\\| = 3 exceeds 2$"):
+        check_sum_dominance(*np.array([(2, 2, 2, 2), (1, 1, 1, 1)]).T, np.arange(-3, 4))
 
 
 @pytest.mark.parametrize("radii", [(0, 2, 1, 1), (-1, 3, 1, 1)])
