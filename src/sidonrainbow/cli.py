@@ -74,7 +74,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
-    if not sep or not lo.isdigit() or not hi.isdigit():
+    if not sep or not lo.isdecimal() or not hi.isdecimal():
         raise ValueError(f"bad range {text!r}, expected A..B")
     a, b = int(lo), int(hi)
     if a < 1 or b < a:
@@ -187,13 +187,14 @@ def _cmd_search(args) -> int:
 
 
 def _suite_closed_forms() -> list[tuple[str, bool]]:
-    # each profile r_{[-a,a]+[-b,b]}, 1 <= a <= b <= 30, is built once and compared
-    # whole; the dominance lines below read the closed forms this proves equal to them
+    # each profile r_{[-a,a]+[-b,b]}, 1 <= a <= b <= 30, is built once and compared whole with two
+    # zeros past each end; the dominance lines below read the closed forms this proves equal to them
     two_ok = one_ok = True
     for beta in range(1, 31):
         for alpha in range(1, beta + 1):
-            w = alpha + beta + 2
-            ms, values = np.arange(-w, w + 1), rep_profile(_interval(alpha), _interval(beta)).window(-w, w)
+            lo, counts = rep_profile(_interval(alpha), _interval(beta))
+            ms, values = np.arange(lo - 2, 3 - lo), np.zeros(len(counts) + 4, dtype=np.int64)
+            values[2:-2] = counts
             two_ok &= np.array_equal(closed_rep_two_intervals(alpha, beta, ms), values)
             if alpha == beta:
                 one_ok &= np.array_equal(closed_rep_one_interval(alpha, ms), values)
@@ -265,20 +266,17 @@ def _cmd_sweep(args) -> int:
     k = args.k
     # the limits for the whole list, checked before the first count: each n,
     # then one fast count's class ceiling over the list's min(k, n) classes,
-    # each count charged at least MIN_CLASS_N; a list within it is checked again
-    # with each class charged at least MIN_PER_CLASS, so a list refused without
-    # that floor keeps its message
+    # each class charged at least MIN_PER_CLASS and each count at least MIN_CLASS_N
     for n in ns:
         _check_family(n, k, surjective=args.coloring == "mod")
         _check_headroom(n)
-    raw = sum(min(k, n) * n for n in ns)
-    for per_class, floor in ((1, ""), (MIN_PER_CLASS, f" each class at least {MIN_PER_CLASS} and")):
-        work = sum(max(min(k, n) * max(n, per_class), MIN_CLASS_N) for n in ns)
-        if work > CLASS_N_CEILING:
-            least = f",{floor} each count at least {MIN_CLASS_N}," if work > raw else ""
-            raise ValueError(
-                f"the n-list's color classes times n{least} sum to {work}, over the ceiling of {CLASS_N_CEILING}"
-            )
+    work = sum(max(min(k, n) * max(n, MIN_PER_CLASS), MIN_CLASS_N) for n in ns)
+    if work > CLASS_N_CEILING:
+        floors = f", each class at least {MIN_PER_CLASS} and each count at least {MIN_CLASS_N},"
+        least = floors if work > sum(min(k, n) * n for n in ns) else ""
+        raise ValueError(
+            f"the n-list's color classes times n{least} sum to {work}, over the ceiling of {CLASS_N_CEILING}"
+        )
     lb, ub = lb_coefficient(k), ub_general_coefficient(k)
     out = io.StringIO()
     writer = csv.writer(out)

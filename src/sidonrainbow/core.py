@@ -70,10 +70,6 @@ class SidonQuad:
         if self.x1 + self.x4 != self.x2 + self.x3:
             raise ValueError(f"{self.x1}+{self.x4} != {self.x2}+{self.x3}")
 
-    @property
-    def elements(self) -> tuple[int, int, int, int]:
-        return (self.x1, self.x2, self.x3, self.x4)
-
 
 @dataclass(frozen=True, order=True)
 class ModularSidonQuad:

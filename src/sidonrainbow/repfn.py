@@ -10,7 +10,6 @@ checks take ints or int64 arrays of radii and of m, and broadcast over them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -31,37 +30,14 @@ class IntSet(tuple):
         return f"IntSet({list(self)})"
 
 
-@dataclass(frozen=True, slots=True)
-class RepProfile:
-    """Exact counts m -> r(m) on the support window [lo, hi]; zero outside."""
-
-    lo: int
-    hi: int
-    counts: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.counts) != self.hi - self.lo + 1:
-            raise ValueError("counts length does not match [lo, hi]")
-
-    def __getitem__(self, m: int) -> int:
-        return self.counts[m - self.lo] if self.lo <= m <= self.hi else 0
-
-    def window(self, lo: int, hi: int) -> np.ndarray:
-        """r(m) for m = lo..hi as an int64 array, zero outside [self.lo, self.hi]."""
-        out = np.zeros(hi - lo + 1, dtype=np.int64)
-        a, b = max(lo, self.lo), min(hi, self.hi)
-        if a <= b:
-            out[a - lo : b - lo + 1] = self.counts[a - self.lo : b - self.lo + 1]
-        return out
-
-
 # pairs (a, b) that rep_profile tallies at a time: 4 KiB of intp sums, plus
 # about twice that in numpy's buffers for the broadcast operands
 _BLOCK = 1 << 9
 
 
-def rep_profile(A: IntSet, B: IntSet) -> RepProfile:
-    """r_{A+B}(m) = #{(a,b) in A x B : a+b = m} for every m, by blocked direct accumulation."""
+def rep_profile(A: IntSet, B: IntSet) -> tuple[int, np.ndarray]:
+    """(lo, counts): counts[i] = r_{A+B}(lo + i) = #{(a,b) in A x B : a+b = lo+i}, int64, from lo =
+    min A + min B (a Python int) to max A + max B, by blocked direct accumulation."""
     if not len(A) or not len(B):
         raise ValueError("rep_profile needs nonempty sets")
     lo, hi = A[0] + B[0], A[-1] + B[-1]
@@ -72,7 +48,7 @@ def rep_profile(A: IntSet, B: IntSet) -> RepProfile:
     rows = max(1, _BLOCK // len(b))
     for i in range(0, len(a), rows):
         counts += np.bincount(np.add.outer(a[i : i + rows], b).ravel(), minlength=len(counts))
-    return RepProfile(lo, hi, tuple(counts.tolist()))
+    return lo, counts
 
 
 def _interval(r: int) -> IntSet:

@@ -88,14 +88,16 @@ def test_a4_closed_forms_match_direct_computation():
     for beta in range(1, 31):
         B = IntSet(range(-beta, beta + 1))
         for alpha in range(1, beta + 1):
-            p = rep_profile(IntSet(range(-alpha, alpha + 1)), B)
+            lo, counts = rep_profile(IntSet(range(-alpha, alpha + 1)), B)
             for m in range(-(alpha + beta) - 2, alpha + beta + 3):
-                assert closed_rep_two_intervals(alpha, beta, m) == p[m]
+                r = counts[m - lo] if 0 <= m - lo < len(counts) else 0
+                assert closed_rep_two_intervals(alpha, beta, m) == r
     for alpha in range(1, 31):
         A = IntSet(range(-alpha, alpha + 1))
-        p = rep_profile(A, A)
+        lo, counts = rep_profile(A, A)
         for m in range(-2 * alpha - 2, 2 * alpha + 3):
-            assert closed_rep_one_interval(alpha, m) == p[m]
+            r = counts[m - lo] if 0 <= m - lo < len(counts) else 0
+            assert closed_rep_one_interval(alpha, m) == r
     assert closed_energy4_interval(1) == 19
     for alpha in range(1, 21):
         J = IntSet(range(-alpha, alpha + 1))

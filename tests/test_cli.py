@@ -42,6 +42,8 @@ def test_total_range(capsys):
     assert len(lines) == 57
     assert all(line.endswith("OK") for line in lines)
     assert lines[0] == "n=4 1 1 1 OK"
+    # int() reads every Unicode decimal digit
+    assert run(capsys, "total", "--range", "4..٦") == (0, "n=4 1 1 1 OK\nn=5 3 3 3 OK\nn=6 7 7 7 OK\n", "")
 
 
 def test_total_large_skips_enumeration(capsys):
@@ -419,11 +421,20 @@ LEMMA_FAULTS = {
     # r_{[-1,1]+[-1,1]} . r_{[-1,1]+[-1,1]} = 1 + 4 + 9 + 4 + 1 = 19 = E_4(1) holds with equality at radii (1, 1, 1, 1)
     "product dominance": [(repfn, "closed_energy4_interval", lambda f: lambda a: f(a) - (a == 1))],
 }
+# each case names its line; the second rep two intervals case is wrong at
+# r_{[-3,3]+[-7,7]}(11) = 0, just past the profile's support [-10, 10], so it
+# fails only if the zeros past each end are compared too
+LEMMA_CASES = {line: (line, faults) for line, faults in LEMMA_FAULTS.items()} | {
+    "rep two intervals past the support": (
+        "rep two intervals", [(cli, "closed_rep_two_intervals", lambda f: plus_one_at(f, (3, 7, 11)))]
+    ),
+}
 
 
-@pytest.mark.parametrize("line", LEMMA_FAULTS)
-def test_verify_lemma_line_fails_on_one_wrong_entry(capsys, monkeypatch, line):
-    for module, name, fault in LEMMA_FAULTS[line]:
+@pytest.mark.parametrize("case", LEMMA_CASES)
+def test_verify_lemma_line_fails_on_one_wrong_entry(capsys, monkeypatch, case):
+    line, faults = LEMMA_CASES[case]
+    for module, name, fault in faults:
         monkeypatch.setattr(module, name, fault(getattr(module, name)))
     rc, out, _ = run(capsys, "verify", "--suite", "lemmas")
     assert rc == 2
@@ -563,8 +574,8 @@ FAILURES = {
     ),
     # each count is charged at least MIN_CLASS_N for its fixed cost: 4 * 2097151 + 29 * 400
     ("sweep", "--k", "4", "--n-list", ",".join(["2097151"] + ["4"] * 29), "--coloring", "random", "--out", "s.csv"): (
-        1, "", "the n-list's color classes times n, each count at least 400, sum to 8400204, "
-        "over the ceiling of 8400000\n",
+        1, "", "the n-list's color classes times n, each class at least 100 and each count at least 400, "
+        "sum to 8400204, over the ceiling of 8400000\n",
     ),
     # and each color class at least MIN_PER_CLASS: 42 * 199000 + 27 * 16 * 100 (8368800, under
     # the ceiling, with each count alone charged 400)
@@ -587,6 +598,8 @@ FAILURES = {
     ("sweep", "--k", "4", "--n-list", "", "--coloring", "mod", "--out", "s.csv"): (1, "", "empty n-list\n"),
     ("sweep", "--k", "4", "--n-list", "4,foo", "--coloring", "mod", "--out", "s.csv"): (1, "", "bad n-list '4,foo'\n"),
     ("total", "--range", "9..2"): (1, "", "bad range '9..2'\n"),
+    # a superscript is a digit to str.isdigit but not to int()
+    ("total", "--range", "²..5"): (1, "", "bad range '²..5', expected A..B\n"),
     ("total", "--n", "5000002"): (1, "", "n=5000002 would add up 10000001 pair sums, over the ceiling of 10000000\n"),
     ("verify", "--suite", "lev", "--trials", "0"): (1, "", "--trials must be at least 1, got 0\n"),
     ("verify", "--suite", "all", "--trials", "10001"): (1, "", "--trials must be at most 10000, got 10001\n"),

@@ -103,7 +103,7 @@ def test_random_coloring_matches_randint(n, k, seed):
 
 def test_quad_validation():
     q = SidonQuad(5, 4, 2, 1)
-    assert q.elements == (5, 4, 2, 1)
+    assert (q.x1, q.x2, q.x3, q.x4) == (5, 4, 2, 1)
     with pytest.raises(ValueError):
         SidonQuad(5, 2, 4, 1)
     with pytest.raises(ValueError):

@@ -39,7 +39,7 @@ def brute_breakdown(c):
     for sub in itertools.combinations(range(1, c.n + 1), 4):
         q = make_quad(*sub, c.n)
         if q is not None:
-            tallies[len({c.colors[x - 1] for x in q.elements})] += 1
+            tallies[len({c.colors[x - 1] for x in sub})] += 1
     return ClassBreakdown(
         rainbow=tallies[4], monochromatic=tallies[1], two_colored=tallies[2], three_colored=tallies[3]
     )

@@ -88,7 +88,7 @@ def test_enumerate_matches_subset_scan():
 
 def test_enumerate_order_contract():
     for n in (7, 12, 19):
-        keys = [(q.x1 + q.x4, q.elements) for q in quads(n)]
+        keys = [(q.x1 + q.x4, q) for q in quads(n)]
         assert keys == sorted(keys)
 
 

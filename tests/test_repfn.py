@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from sidonrainbow import repfn
 from sidonrainbow.repfn import (
     IntSet,
-    RepProfile,
     additive_energy,
     check_energy_dominance,
     check_lev,
@@ -27,6 +26,12 @@ int_sets = st.sets(st.integers(-10, 10), min_size=1, max_size=8).map(IntSet)
 
 def interval(r):
     return IntSet(range(-r, r + 1))
+
+
+def profile_dict(A, B):
+    """rep_profile(A, B) as {m: r_{A+B}(m)} over its support, Python ints."""
+    lo, counts = rep_profile(A, B)
+    return dict(enumerate(counts.tolist(), start=lo))
 
 
 def _fold_energy_slow(sets) -> int:
@@ -63,24 +68,18 @@ def test_intset():
 def test_intset_beyond_int64():
     big = IntSet([2**70, -(2**70), 2**70 + 3])
     assert big == (-(2**70), 2**70, 2**70 + 3)
-    assert rep_profile(IntSet([2**70, 2**70 + 1]), IntSet([-(2**70)])) == RepProfile(0, 1, (1, 1))
+    lo, counts = rep_profile(IntSet([2**70, 2**70 + 1]), IntSet([-(2**70)]))
+    assert (type(lo), lo, counts.dtype, counts.tolist()) == (int, 0, np.int64, [1, 1])
     assert additive_energy([IntSet([2**70, 2**70 + 1]), IntSet([-(2**70) - 1, -(2**70)])]) == 2
 
 
-def test_profile_window():
-    p = RepProfile(2, 4, (1, 0, 2))
-    assert p[2] == 1 and p[3] == 0 and p[4] == 2
-    assert p[1] == 0 and p[5] == 0
-    assert sum(p.counts) == 3
-    assert list(range(p.lo, p.hi + 1)) == [2, 3, 4]
-    with pytest.raises(ValueError):
-        RepProfile(2, 4, (1, 0))
-
-
 def test_rep_profile_hand():
-    p = rep_profile(IntSet([1, 2]), IntSet([1, 3]))
+    lo, counts = rep_profile(IntSet([1, 2]), IntSet([1, 3]))
     # sums: 2, 4, 3, 5
-    assert [p[m] for m in range(2, 6)] == [1, 1, 1, 1]
+    assert lo == 2 and counts.tolist() == [1, 1, 1, 1]
+    lo, counts = rep_profile(IntSet([0, 4]), IntSet([-1, 0]))
+    # sums: -1, 0, 3, 4; the gap between them is zeros
+    assert lo == -1 and counts.tolist() == [1, 1, 0, 0, 1, 1]
     with pytest.raises(ValueError):
         rep_profile(IntSet([]), IntSet([1]))
 
@@ -92,11 +91,10 @@ wide_sets = st.sets(st.integers(-150, 150), min_size=40, max_size=120).map(IntSe
 
 
 def assert_pairwise_profile(A, B):
-    p = rep_profile(A, B)
+    lo, counts = rep_profile(A, B)
     sums = Counter(a + b for a, b in itertools.product(A, B))
-    assert (p.lo, p.hi) == (min(sums), max(sums))
-    assert list(p.counts) == [sums[m] for m in range(p.lo, p.hi + 1)]
-    assert all(type(c) is int for c in p.counts)
+    assert (type(lo), lo, lo + len(counts) - 1) == (int, min(sums), max(sums))
+    assert counts.dtype == np.int64 and counts.tolist() == [sums[m] for m in range(lo, lo + len(counts))]
 
 
 @given(st.one_of(int_sets, sparse_sets, negative_sets), st.one_of(int_sets, sparse_sets, negative_sets))
@@ -111,21 +109,12 @@ def test_rep_profile_across_row_blocks(A, B):
     assert_pairwise_profile(A, B)
 
 
-def test_profile_window_pads_with_zeros():
-    p = RepProfile(2, 4, (1, 0, 2))
-    assert p.window(0, 6).tolist() == [0, 0, 1, 0, 2, 0, 0]
-    assert p.window(3, 3).tolist() == [0]
-    assert p.window(-5, 1).tolist() == [0] * 7 and p.window(5, 8).tolist() == [0] * 4
-    assert p.window(0, 6).dtype == np.int64
-
-
 @given(int_sets, int_sets)
 def test_rep_profile_mass_and_symmetry(A, B):
-    p = rep_profile(A, B)
-    assert sum(p.counts) == len(A) * len(B)
-    q = rep_profile(B, A)
-    assert (p.lo, p.hi, p.counts) == (q.lo, q.hi, q.counts)
-    assert all(c >= 0 for c in p.counts)
+    p = profile_dict(A, B)
+    assert sum(p.values()) == len(A) * len(B)
+    assert p == profile_dict(B, A)
+    assert all(c >= 0 for c in p.values())
 
 
 def test_interval_compress():
@@ -188,10 +177,8 @@ def test_one_interval_closed_form_spots():
 @given(st.integers(1, 12), st.integers(0, 12), st.integers(-30, 30))
 def test_closed_forms_match_profiles(alpha, extra, m):
     beta = alpha + extra
-    p = rep_profile(interval(alpha), interval(beta))
-    assert closed_rep_two_intervals(alpha, beta, m) == p[m]
-    q = rep_profile(interval(alpha), interval(alpha))
-    assert closed_rep_one_interval(alpha, m) == q[m]
+    assert closed_rep_two_intervals(alpha, beta, m) == profile_dict(interval(alpha), interval(beta)).get(m, 0)
+    assert closed_rep_one_interval(alpha, m) == profile_dict(interval(alpha), interval(alpha)).get(m, 0)
 
 
 @given(st.integers(1, 15), st.integers(0, 15))
@@ -347,8 +334,8 @@ def test_energy_dominance_left_side_is_the_profile_dot(monkeypatch):
         s = a1 + a2 + a3 + a4
         if s % 4:
             continue
-        p, q = rep_profile(interval(a1), interval(a2)), rep_profile(interval(a3), interval(a4))
-        dot = int(np.dot(p.window(-s, s), q.window(-s, s)))
+        p, q = profile_dict(interval(a1), interval(a2)), profile_dict(interval(a3), interval(a4))
+        dot = sum(r * q.get(m, 0) for m, r in p.items())
         for right, holds in ((dot, True), (dot - 1, False)):
             monkeypatch.setattr(repfn, "closed_energy4_interval", lambda alpha: right)
             assert check_energy_dominance(a1, a2, a3, a4) is holds, (a1, a2, a3, a4)
