@@ -1,11 +1,12 @@
 """Representation functions r_{A+B}, interval compression, and t-fold additive energy.
 
-All counts are exact integers. A profile is a direct pairwise accumulation:
-np.bincount tallies the sums a + b of a block of rows of A against all of B,
-about _BLOCK pairs (at least one row) at a time. The energy fold convolves
-indicator arrays with numpy's integer convolution, a separate route checked
-against a pure-Python fold in tests. The closed forms and both dominance
-checks take ints or int64 arrays of radii and of m, and broadcast over them.
+All counts are exact integers. Profiles and energies are products of sets by
+Kronecker substitution: a set A becomes the Python int with digit 1 at each
+a - min A, in digits of w bytes, and CPython's exact big-int product of such
+ints holds r(m) in digit m - lo. w is the fewest of 1, 2, 4 or 8 bytes that
+hold a bound on every count, so no carry crosses a digit. The closed forms
+and both dominance checks take ints or int64 arrays of radii and of m, and
+broadcast over them.
 """
 from __future__ import annotations
 
@@ -30,25 +31,39 @@ class IntSet(tuple):
         return f"IntSet({list(self)})"
 
 
-# pairs (a, b) that rep_profile tallies at a time: 4 KiB of intp sums, plus
-# about twice that in numpy's buffers for the broadcast operands
-_BLOCK = 1 << 9
+# The most bytes one product may take: the sum of its sets' spans times the
+# digit width. Four sets of 25,000 elements spanning [1, 25000] come to
+# 800,000 bytes, which takes about 2 s on a 2-vCPU x86 host (CPython 3.11).
+PRODUCT_CEILING = 800_000
+
+
+def _product(sets: Sequence[IntSet], bound: int) -> tuple[int, int, int]:
+    """(lo, width, product): lo = the sum of min A_i, and the product of the
+    sets by Kronecker substitution in digits of width bytes, the fewest that
+    hold bound; ValueError above PRODUCT_CEILING, before any buffer is built."""
+    width = next(w for w in (1, 2, 4, 8) if bound < 256**w)
+    size = sum(s[-1] - s[0] + 1 for s in sets) * width
+    if size > PRODUCT_CEILING:
+        raise ValueError(f"a product of these sets would take {size} bytes, over the ceiling of {PRODUCT_CEILING}")
+    lo, product = 0, 1
+    for s in sets:
+        digits = bytearray((s[-1] - s[0] + 1) * width)
+        for a in s:
+            digits[(a - s[0]) * width] = 1
+        product *= int.from_bytes(digits, "little")
+        lo += s[0]
+    return lo, width, product
 
 
 def rep_profile(A: IntSet, B: IntSet) -> tuple[int, np.ndarray]:
     """(lo, counts): counts[i] = r_{A+B}(lo + i) = #{(a,b) in A x B : a+b = lo+i}, int64, from lo =
-    min A + min B (a Python int) to max A + max B, by blocked direct accumulation."""
+    min A + min B (a Python int) to max A + max B, read from every digit of one
+    product whose counts are at most min(|A|, |B|)."""
     if not len(A) or not len(B):
         raise ValueError("rep_profile needs nonempty sets")
-    lo, hi = A[0] + B[0], A[-1] + B[-1]
-    # offsets from the smallest elements, in Python ints, so a + b - lo is a small index
-    a = np.array([x - A[0] for x in A], dtype=np.intp)
-    b = np.array([y - B[0] for y in B], dtype=np.intp)
-    counts = np.zeros(hi - lo + 1, dtype=np.int64)
-    rows = max(1, _BLOCK // len(b))
-    for i in range(0, len(a), rows):
-        counts += np.bincount(np.add.outer(a[i : i + rows], b).ravel(), minlength=len(counts))
-    return lo, counts
+    lo, width, product = _product((A, B), min(len(A), len(B)))
+    digits = product.to_bytes((A[-1] + B[-1] - lo + 1) * width, "little")
+    return lo, np.frombuffer(digits, dtype=f"<u{width}").astype(np.int64)
 
 
 def _interval(r: int) -> IntSet:
@@ -62,48 +77,23 @@ def interval_compress(size: int) -> IntSet:
     return _interval((size + 1) // 2)
 
 
-def _indicator(A: IntSet) -> tuple[int, np.ndarray]:
-    lo = A[0]
-    arr = np.zeros(A[-1] - lo + 1, dtype=np.int64)
-    arr[[a - lo for a in A]] = 1
-    return lo, arr
-
-
-# The most multiply-adds one additive_energy fold may take over its convolutions.
-# Four sets spanning [1, n] take about 6 n^2: 2.4 * 10^9 at n = 20000, which
-# takes 2 s on a 2-vCPU x86 host (numpy 2.4), and 6 * 10^10 at n = 10^5.
-ENERGY_CEILING = 4_000_000_000
-
-
 def additive_energy(sets: Sequence[IntSet]) -> int:
     """E_t: number of tuples (a_1..a_t), a_i from sets[i], with zero sum.
 
-    Folds indicator arrays by integer convolution, then reads the count at 0.
-    Any empty set gives 0. Every intermediate count is at most prod(|A_i|),
-    so the fold needs prod(|A_i|) <= 2**63 - 1 and raises ValueError beyond,
-    or above ENERGY_CEILING multiply-adds, before any array is built.
+    Multiplies the sets, then reads the one digit at 0. Any empty set gives 0.
+    Every digit is at most prod(|A_i|), which must fit 8 bytes: it raises
+    ValueError above 2**63 - 1, or above PRODUCT_CEILING bytes, before any
+    buffer is built.
     """
     if len(sets) < 2:
         raise ValueError("need at least two sets")
     if any(len(s) == 0 for s in sets):
         return 0
-    if math.prod(len(s) for s in sets) > 2**63 - 1:
-        raise ValueError("product of set sizes exceeds 2**63 - 1: int64 fold would overflow")
-    # convolution i costs the running length, sum(spans[:i]) - (i - 1), times spans[i]
-    spans = [s[-1] - s[0] + 1 for s in sets]
-    work = sum((sum(spans[:i]) - i + 1) * spans[i] for i in range(1, len(spans)))
-    if work > ENERGY_CEILING:
-        raise ValueError(
-            f"an energy fold would take {work} multiply-adds, over the ceiling of {ENERGY_CEILING}"
-        )
-    lo, acc = _indicator(sets[0])
-    for s in sets[1:]:
-        slo, sarr = _indicator(s)
-        acc = np.convolve(acc, sarr)
-        lo += slo
-    if lo <= 0 < lo + len(acc):
-        return int(acc[-lo])
-    return 0
+    bound = math.prod(len(s) for s in sets)
+    if bound > 2**63 - 1:
+        raise ValueError("product of set sizes exceeds 2**63 - 1: counts would overflow 8-byte digits")
+    lo, width, product = _product(sets, bound)
+    return (product >> (8 * width * -lo)) & (256**width - 1) if lo <= 0 else 0
 
 
 def closed_rep_two_intervals(alpha, beta, m):

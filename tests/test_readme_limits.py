@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from sidonrainbow import cli, counting, enumeration, search
+from sidonrainbow import cli, counting, enumeration, repfn, search
 from sidonrainbow.core import Domain, mod_coloring
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -101,6 +101,12 @@ def test_class_ceiling(monkeypatch):
 
 def test_trials_ceiling():
     quoted(f"`--trials` is above {cli.MAX_TRIALS:,} (`cli.MAX_TRIALS`)")
+
+
+def test_product_ceiling():
+    # quoted in the module map, before the CLI section
+    whole = " ".join(README.read_text(encoding="utf-8").split())
+    assert f"at most {repfn.PRODUCT_CEILING:,} bytes a product, `repfn.PRODUCT_CEILING`" in whole
 
 
 def test_sweep_ceiling(monkeypatch):

@@ -86,8 +86,6 @@ def test_rep_profile_hand():
 
 sparse_sets = st.sets(st.integers(-3000, 3000), min_size=1, max_size=6).map(IntSet)
 negative_sets = st.sets(st.integers(-80, -1), min_size=1, max_size=30).map(IntSet)
-# 40 x 40 pairs at least: several row blocks of rep_profile
-wide_sets = st.sets(st.integers(-150, 150), min_size=40, max_size=120).map(IntSet)
 
 
 def assert_pairwise_profile(A, B):
@@ -102,10 +100,15 @@ def test_rep_profile_matches_pairwise_counter(A, B):
     assert_pairwise_profile(A, B)
 
 
-@given(wide_sets, wide_sets)
-@settings(max_examples=30)
-def test_rep_profile_across_row_blocks(A, B):
-    assert len(A) * len(B) > 2 * repfn._BLOCK
+def test_rep_profile_at_digit_width_boundaries():
+    # the top count min(|A|, |B|) just fits a 1-byte digit, just needs 2, or needs 4
+    for alpha, beta, top in ((127, 128, 255), (128, 128, 257), (32768, 32768, 65537)):
+        lo, counts = rep_profile(interval(alpha), interval(beta))
+        assert (lo, counts.dtype, counts.max()) == (-alpha - beta, np.int64, top)
+        assert np.array_equal(counts, closed_rep_two_intervals(alpha, beta, np.arange(lo, -lo + 1)))
+    # 256 is the least count a 1-byte digit cannot hold
+    A, B = IntSet(range(256)), IntSet(range(300))
+    assert rep_profile(A, B)[1].max() == 256
     assert_pairwise_profile(A, B)
 
 
@@ -148,14 +151,42 @@ def test_energy_int64_headroom():
         additive_energy([ten] * 22)
 
 
-def test_energy_checks_the_fold_ceiling(monkeypatch):
-    # spans 10, 10 (by its ends, not its size) and 3: 10 * 10, then the 19-long array times 3
-    sets = [IntSet(range(10)), IntSet([0, 9]), IntSet([-1, 1])]
-    monkeypatch.setattr(repfn, "ENERGY_CEILING", 157)
+@pytest.mark.parametrize(
+    "sizes", [(3, 5, 17), (16, 16), (4, 4, 4, 4), (3, 5, 17, 257), (256, 256)],
+    ids=["255", "256", "256-four", "65535", "65536"],
+)
+def test_energy_at_digit_width_boundaries(sizes):
+    # prod(|A_i|) of 255, 256, 65,535 and 65,536: the last size of each width
+    # of digit and the first of the next; sets of consecutive integers around 0
+    sets = [IntSet(range(-(n // 2), n - n // 2)) for n in sizes]
     assert additive_energy(sets) == _fold_energy_slow(sets)
-    monkeypatch.setattr(repfn, "ENERGY_CEILING", 156)
-    with pytest.raises(ValueError, match="^an energy fold would take 157 multiply-adds, over the ceiling of 156$"):
+
+
+def test_energy_checks_the_fold_ceiling(monkeypatch):
+    # spans 10, 10 (by its ends, not its size) and 3, in 1-byte digits: prod(|A_i|) = 40
+    sets = [IntSet(range(10)), IntSet([0, 9]), IntSet([-1, 1])]
+    monkeypatch.setattr(repfn, "PRODUCT_CEILING", 23)
+    assert additive_energy(sets) == _fold_energy_slow(sets)
+    monkeypatch.setattr(repfn, "PRODUCT_CEILING", 22)
+    with pytest.raises(ValueError, match="^a product of these sets would take 23 bytes, over the ceiling of 22$"):
         additive_energy(sets)
+    # 360 tuples need 2-byte digits: spans 10, 10, 3 and 3 take 52 bytes
+    wider = [IntSet(range(10)), IntSet([0, 2, 5, 9]), IntSet([-1, 0, 1]), IntSet([0, 1, 2])]
+    with pytest.raises(ValueError, match="^a product of these sets would take 52 bytes, over the ceiling of 22$"):
+        additive_energy(wider)
+
+
+def test_products_refuse_a_sparse_wide_span_pair(monkeypatch):
+    # two and three elements, but spans of 10**6 + 1 and 2 * 10**6 + 1: the bytes of
+    # the product count the spans, not the sizes, and are checked before any buffer
+    A, B = IntSet([0, 10**6]), IntSet([-(10**6), 0, 10**6])
+    monkeypatch.setattr(repfn, "PRODUCT_CEILING", 3 * 10**6 + 2)
+    assert {m: r for m, r in profile_dict(A, B).items() if r} == {-(10**6): 1, 0: 2, 10**6: 2, 2 * 10**6: 1}
+    assert additive_energy([A, B]) == _fold_energy_slow([A, B]) == 2
+    monkeypatch.setattr(repfn, "PRODUCT_CEILING", 3 * 10**6 + 1)
+    for product in (lambda: rep_profile(A, B), lambda: additive_energy([A, B])):
+        with pytest.raises(ValueError, match="^a product of these sets would take 3000002 bytes, over the ceiling"):
+            product()
 
 
 def test_two_interval_closed_form_spots():
