@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bounds import bounds_report, lb_coefficient, report_to_json, report_to_text, ub_general_coefficient
-from .core import Domain, _check_family, mod_coloring, parse_coloring_lines, random_coloring
+from .core import Domain, _check_ceiling, _check_family, mod_coloring, parse_coloring_lines, random_coloring
 from .counting import (
     CLASS_N_CEILING,
     MIN_CLASS_N,
@@ -275,12 +275,9 @@ def _cmd_sweep(args) -> int:
         _check_family(n, k, surjective=args.coloring == "mod")
         _check_headroom(n)
     work = sum(max(min(k, n) * max(n, MIN_PER_CLASS), MIN_CLASS_N) for n in ns)
-    if work > CLASS_N_CEILING:
-        floors = f", each class at least {MIN_PER_CLASS} and each count at least {MIN_CLASS_N},"
-        least = floors if work > sum(min(k, n) * n for n in ns) else ""
-        raise ValueError(
-            f"the n-list's color classes times n{least} sum to {work}, over the ceiling of {CLASS_N_CEILING}"
-        )
+    floors = f", each class at least {MIN_PER_CLASS} and each count at least {MIN_CLASS_N},"
+    least = floors if work > sum(min(k, n) * n for n in ns) else ""
+    _check_ceiling(work, CLASS_N_CEILING, f"the n-list's color classes times n{least} sum to {work}")
     lb, ub = lb_coefficient(k), ub_general_coefficient(k)
     out = io.StringIO()
     writer = csv.writer(out)

@@ -6,6 +6,9 @@ can balance, so the pairing is implied by the set. Over Z_n the pairing is part
 of the object (the same four residues can balance in more than one way).
 
 Residues of Z_n are represented by {1..n}, with n standing for the class of 0.
+
+_check_ceiling is the one refusal of a request whose work exceeds a method's
+ceiling, shared by every module that caps its work.
 """
 from __future__ import annotations
 
@@ -128,6 +131,12 @@ def make_quad(a: int, b: int, c: int, d: int, n: int) -> Optional[SidonQuad]:
     if len({a, b, c, d}) != 4 or x1 + x4 != x2 + x3:
         return None
     return SidonQuad(x1, x2, x3, x4)
+
+
+def _check_ceiling(work: int, ceiling: int, what: str) -> None:
+    """Refuse work above a method's ceiling: a ValueError of what, then the ceiling."""
+    if work > ceiling:
+        raise ValueError(f"{what}, over the ceiling of {ceiling}")
 
 
 def _check_family(n: int, k: int, surjective: bool) -> None:

@@ -33,7 +33,7 @@ from math import isqrt
 
 import numpy as np
 
-from .core import ClassBreakdown, Coloring, Domain
+from .core import ClassBreakdown, Coloring, Domain, _check_ceiling
 from .enumeration import SCAN_CEILING, _check_scan, f_n_exact, modular_count_formula, total_quads_formula
 
 
@@ -153,13 +153,6 @@ MIN_CLASS_N = 400
 # The least it charges each of the count's min(k, n) color classes: counts at
 # k = 42 took about 0.38 ms at n = 8 and 0.6 ms at n = 16, 95 and 75 units a class.
 MIN_PER_CLASS = 100
-
-
-def _check_classes(classes: int, n: int) -> None:
-    if classes * n > CLASS_N_CEILING:
-        raise ValueError(
-            f"{classes} color classes times n={n} is {classes * n}, over the ceiling of {CLASS_N_CEILING}"
-        )
 
 
 def _pair_histograms(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -442,7 +435,8 @@ def _rainbow_from_histograms(c: Coloring, cyclic: bool) -> int:
         return 0
     _check_headroom(n)
     classes = _classes(c)
-    _check_classes(len(classes), n)
+    work = len(classes) * n
+    _check_ceiling(work, CLASS_N_CEILING, f"{len(classes)} color classes times n={n} is {work}")
     # every slot of S is at most n: int32 until S . S
     s = np.full(n, n, dtype=np.int32) if cyclic else (n - np.abs(np.arange(-n - 1, n, dtype=np.int32))).clip(0)
     length = 2 << (n - 1).bit_length()  # twice the smallest power of two >= n: at least 2n - 1
@@ -566,8 +560,7 @@ def non_rainbow_lower_bound(c: Coloring) -> Fraction:
         raise ValueError("non_rainbow_lower_bound expects an interval coloring")
     classes = [x.astype(np.int64) for x in _classes(c).values()]
     pairs = sum(len(x) * (len(x) - 1) // 2 for x in classes)
-    if pairs > SCAN_CEILING:
-        raise ValueError(f"the floor would sum over {pairs} same-colored pairs, over the ceiling of {SCAN_CEILING}")
+    _check_ceiling(pairs, SCAN_CEILING, f"the floor would sum over {pairs} same-colored pairs")
     total = 0
     for x in classes:
         rows = max(1, _SCAN_BLOCK // len(x))

@@ -13,7 +13,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import ModularSidonQuad
+from .core import ModularSidonQuad, _check_ceiling
 
 
 # The most quads one scan may visit. At the ceiling (n = 494 for [n] through
@@ -26,10 +26,7 @@ SCAN_CEILING = 10_000_000
 
 def _check_scan(quads: int, what: str) -> None:
     """Raise ValueError, before any scanning, when a scan would exceed SCAN_CEILING."""
-    if quads > SCAN_CEILING:
-        raise ValueError(
-            f"{what} would scan {quads} quads, over the ceiling of {SCAN_CEILING}"
-        )
+    _check_ceiling(quads, SCAN_CEILING, f"{what} would scan {quads} quads")
 
 
 def pairs_with_sum(n: int, l):
@@ -113,9 +110,8 @@ def _check_sum_range(ns: range) -> None:
     """Raise ValueError, before any counting, when count_quads_by_sums over every
     n of ns would add up more than SUMS_CEILING pair sums."""
     sums = len(ns) * (ns[0] + ns[-1] - 3)
-    if sums > SUMS_CEILING:
-        what = f"n={ns[0]}" if len(ns) == 1 else f"n={ns[0]}..{ns[-1]}"
-        raise ValueError(f"{what} would add up {sums} pair sums, over the ceiling of {SUMS_CEILING}")
+    what = f"n={ns[0]}" if len(ns) == 1 else f"n={ns[0]}..{ns[-1]}"
+    _check_ceiling(sums, SUMS_CEILING, f"{what} would add up {sums} pair sums")
 
 
 # Pair sums per numpy block of count_quads_by_sums: its int64 temporaries stay

@@ -15,6 +15,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .core import _check_ceiling
+
 
 class IntSet(tuple):
     """Finite set of distinct integers: the tuple of its elements, strictly increasing."""
@@ -43,8 +45,7 @@ def _product(sets: Sequence[IntSet], bound: int) -> tuple[int, int, int]:
     hold bound; ValueError above PRODUCT_CEILING, before any buffer is built."""
     width = next(w for w in (1, 2, 4, 8) if bound < 256**w)
     size = sum(s[-1] - s[0] + 1 for s in sets) * width
-    if size > PRODUCT_CEILING:
-        raise ValueError(f"a product of these sets would take {size} bytes, over the ceiling of {PRODUCT_CEILING}")
+    _check_ceiling(size, PRODUCT_CEILING, f"a product of these sets would take {size} bytes")
     lo, product = 0, 1
     for s in sets:
         digits = bytearray((s[-1] - s[0] + 1) * width)

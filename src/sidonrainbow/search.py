@@ -28,12 +28,12 @@ or the gain table.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Coloring, Domain, coloring_dict, mod_coloring, random_coloring
+from .core import Coloring, Domain, _check_ceiling, coloring_dict, mod_coloring, random_coloring
 from .counting import _check_headroom, count_rainbow_fast
 from .enumeration import enumerate_quads
 
@@ -44,9 +44,9 @@ class BudgetExceededError(Exception):
 
 @dataclass(frozen=True)
 class SearchResult:
+    method: str  # "exhaustive" or "local"
     best_count: int
     best_coloring: Coloring
-    method: str  # "exhaustive" or "local"
     restarts: int
     moves: int
     seed: int
@@ -55,20 +55,11 @@ class SearchResult:
 
 
 def result_to_json(r: SearchResult) -> str:
-    """One-line JSON export of a search result, witness coloring included."""
-    return json.dumps(
-        {
-            "method": r.method,
-            "best_count": r.best_count,
-            "restarts": r.restarts,
-            "moves": r.moves,
-            "seed": r.seed,
-            "exact": r.exact,
-            "stop": r.stop,
-            "coloring": coloring_dict(r.best_coloring),
-        },
-        separators=(",", ":"),
-    )
+    """One-line JSON export of a search result: its fields in order, the witness
+    coloring last as "coloring"."""
+    obj = {f.name: getattr(r, f.name) for f in fields(r) if f.name != "best_coloring"}
+    obj["coloring"] = coloring_dict(r.best_coloring)
+    return json.dumps(obj, separators=(",", ":"))
 
 
 def _verified(result: SearchResult) -> SearchResult:
@@ -106,13 +97,15 @@ def _check_budget(n: int, k: int) -> None:
     """Refuse a walk of [n], 4 <= k <= n, when its canonical colorings with at
     most four colors, all of them at k = 4 and a floor above, exceed MAX_STATES.
     """
-    if n > 7144:  # then its 2n - 4 bits make more than the 4300 digits str() takes
-        count = f"more than 10^{(2 * n - 5) * 3 // 10}"
-    else:
+    count = f"more than 10^{(2 * n - 5) * 3 // 10}"  # the count exceeds 2^(2n - 5)
+    if n <= 7144:  # past it the count has more digits than CPython's default limit
         states = ((1 << 2 * n) + (6 << n) + 8) // 24
         if states <= MAX_STATES:
             return
-        count = f"at least {states}" if k > 4 else str(states)
+        try:  # str() refuses more digits than sys.get_int_max_str_digits()
+            count = f"at least {states}" if k > 4 else str(states)
+        except ValueError:
+            pass
     raise BudgetExceededError(f"{count} canonical colorings exceed the budget of {MAX_STATES}")
 
 
@@ -222,7 +215,7 @@ def exhaustive_ar(n: int, k: int) -> SearchResult:
         _walk(n, m, enter)
     witness = Coloring(Domain.INTERVAL, n, k, best_cols)
     return _verified(
-        SearchResult(best_count, witness, "exhaustive", 0, 0, 0, exact=True, stop="complete")
+        SearchResult("exhaustive", best_count, witness, 0, 0, 0, exact=True, stop="complete")
     )
 
 
@@ -312,11 +305,7 @@ def delta_recolor(c: Coloring, i: int, newcolor: int) -> int:
     rank = {col: j for j, col in enumerate(sorted({*c.colors, newcolor}), 1)}
     m = len(rank)
     work = m * c.n * c.n + 2**15
-    if work > MAX_CLIMB_WORK:
-        raise ValueError(
-            f"a gain table at n={c.n} over {m} colors would take {work} steps, "
-            f"over the ceiling of {MAX_CLIMB_WORK}"
-        )
+    _check_ceiling(work, MAX_CLIMB_WORK, f"a gain table at n={c.n} over {m} colors would take {work} steps")
     row = _gain_table([rank[col] for col in c.colors], m)[i - 1]
     return int(row[rank[c.colors[i - 1]]] - row[rank[newcolor]])
 
@@ -378,11 +367,10 @@ def local_search(
     if max_moves < 0:
         raise ValueError("move budget must be nonnegative")
     work = (restarts + max_moves) * (k * n * n + 2**15)
-    if work > MAX_CLIMB_WORK:
-        raise ValueError(
-            f"{restarts} starts and {max_moves} moves at n={n}, k={k} would take up to "
-            f"{work} gain-table steps, over the ceiling of {MAX_CLIMB_WORK}"
-        )
+    _check_ceiling(
+        work, MAX_CLIMB_WORK,
+        f"{restarts} starts and {max_moves} moves at n={n}, k={k} would take up to {work} gain-table steps",
+    )
     best_count, best_cols, budget_left = -1, None, max_moves
     for r in range(restarts):
         start = random_coloring(n, k, seed + r) if r else mod_coloring(n, k)
@@ -397,7 +385,7 @@ def local_search(
     stop = "move budget" if budget_left <= 0 else "local maximum"
     return _verified(
         SearchResult(
-            best_count, witness, "local", restarts, max_moves - budget_left, seed,
+            "local", best_count, witness, restarts, max_moves - budget_left, seed,
             exact=False, stop=stop,
         )
     )

@@ -531,6 +531,8 @@ FAILURES = {
         1, "", "10000000 starts and 1000 moves at n=200, k=4 would take up to 1927872768000 gain-table steps, "
         "over the ceiling of 500000000\n",
     ),
+    ("search", "--n", "0", "--k", "4", "--exhaustive"): (1, "", "need n >= 1 and k >= 1, got n=0, k=4\n"),
+    ("search", "--n", "4", "--k", "4", "--local", "--moves", "-1"): (1, "", "move budget must be nonnegative\n"),
     ("search", "--n", "5", "--k", "4", "--exhaustive", "--out", "/nonexistent/x.json"): (
         1, "2\n", f"cannot write /nonexistent/x.json: {NO_FILE}: '/nonexistent/x.json'\n",
     ),
@@ -550,6 +552,14 @@ FAILURES = {
     ("rainbow", "--coloring", "many.jsonl", "--method", "fast"): (
         1, "", "421 color classes times n=20000 is 8420000, over the ceiling of 8400000\n",
     ),
+    # the smallest n over the scan ceiling in each domain
+    ("rainbow", "--coloring", "i495.jsonl", "--method", "naive"): (
+        1, "", "a naive scan of n=495 would scan 10015603 quads, over the ceiling of 10000000\n",
+    ),
+    ("rainbow", "--coloring", "c433.jsonl", "--method", "naive"): (
+        1, "", "a cyclic naive scan of n=433 would scan 10054260 quads, over the ceiling of 10000000\n",
+    ),
+    ("rainbow", "--coloring", "nolist.jsonl"): (1, "", "bad coloring file: line 1: field colors must be a list\n"),
     ("rainbow", "--coloring", "cyc.jsonl", "--method", "energy"): (
         1, "", "energy method applies to interval colorings only\n",
     ),
@@ -600,6 +610,10 @@ FAILURES = {
     ("total", "--range", "9..2"): (1, "", "bad range '9..2'\n"),
     # a superscript is a digit to str.isdigit but not to int()
     ("total", "--range", "²..5"): (1, "", "bad range '²..5', expected A..B\n"),
+    ("total", "--n", "0"): (1, "", "need n >= 1, got 0\n"),
+    ("total", "--n", "495", "--brute"): (
+        1, "", "enumerating n=495 would scan 10015603 quads, over the ceiling of 10000000\n",
+    ),
     ("total", "--n", "5000002"): (1, "", "n=5000002 would add up 10000001 pair sums, over the ceiling of 10000000\n"),
     ("verify", "--suite", "lev", "--trials", "0"): (1, "", "--trials must be at least 1, got 0\n"),
     ("verify", "--suite", "all", "--trials", "10001"): (1, "", "--trials must be at most 10000, got 10001\n"),
@@ -619,6 +633,9 @@ FAILURE_FILES = {
     "many.jsonl": lambda: serialize_coloring(mod_coloring(20000, 421)) + "\n",
     "cyc.jsonl": lambda: serialize_coloring(mod_coloring(8, 4, Domain.CYCLIC)) + "\n",
     "bad.jsonl": lambda: "{broken\n",
+    "i495.jsonl": lambda: serialize_coloring(mod_coloring(495, 4)) + "\n",
+    "c433.jsonl": lambda: serialize_coloring(mod_coloring(433, 4, Domain.CYCLIC)) + "\n",
+    "nolist.jsonl": lambda: '{"domain":"interval","n":1,"k":1,"colors":5}\n',
 }
 
 
@@ -678,6 +695,26 @@ def test_search_out_bytes(capsys, tmp_path, n):
     path = tmp_path / "witness.json"
     assert run(capsys, "search", "--n", str(n), "--k", "4", "--exhaustive", "--out", str(path)) == (0, f"{best}\n", "")
     assert path.read_bytes() == text
+
+
+@pytest.mark.parametrize(
+    "n, count",
+    [
+        # 640 digits: the exact count still prints
+        (1065, str(ar_budget_states(1065))),
+        # 641 digits: str() would refuse it, so its power of ten stands in
+        (1066, "more than 10^638"),
+        (2000, "more than 10^1198"),
+    ],
+)
+def test_search_budget_under_a_lowered_digit_limit(capsys, n, count):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        got = run(capsys, "search", "--n", str(n), "--k", "4", "--exhaustive")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert got == (3, "", f"{count} canonical colorings exceed the budget of 1000000\n")
 
 
 def test_sweep_csv(capsys, tmp_path):

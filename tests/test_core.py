@@ -136,6 +136,8 @@ def test_modular_quad_validation():
         ModularSidonQuad((1, 2), (3, 5), 9)
     with pytest.raises(ValueError, match="outside"):
         ModularSidonQuad((1, 2), (3, 9), 8)
+    with pytest.raises(ValueError, match="^modulus must be >= 1$"):
+        ModularSidonQuad((1, 2), (3, 4), 0)
 
 
 def test_breakdown_total():

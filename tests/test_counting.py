@@ -416,6 +416,8 @@ def test_counters_reject_wrong_domain():
         count_rainbow_cyclic_naive(flat)
     with pytest.raises(ValueError):
         count_rainbow_cyclic_fast(flat)
+    with pytest.raises(ValueError, match="^non_rainbow_lower_bound expects an interval coloring$"):
+        non_rainbow_lower_bound(cyc)
 
 
 def test_fast_counters_check_int64_headroom():

@@ -228,3 +228,19 @@ def test_pair_membership_rejects_bad_args():
         f_n_exact(10, 0, 4)
     with pytest.raises(ValueError):
         f_n_exact(10, 2, 11)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: total_quads_formula(0), "need n >= 1, got 0"),
+        (lambda: count_quads_by_sums(0), "need n >= 1, got 0"),
+        (lambda: enumerate_modular_quads(0), "need k >= 1, got 0"),
+        (lambda: modular_count_formula(0), "need k >= 1, got 0"),
+        (lambda: f_n_scan(10, 5, 3), "need 1 <= b < a <= n, got b=5, a=3, n=10"),
+    ],
+    ids=["total_quads_formula", "count_quads_by_sums", "enumerate_modular_quads", "modular_count_formula", "f_n_scan"],
+)
+def test_counts_reject_bad_args(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

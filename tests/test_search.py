@@ -545,6 +545,11 @@ def test_fox_budget(monkeypatch):
         fox_spot_check(12)
 
 
+def test_fox_rejects_n_below_four():
+    with pytest.raises(ValueError, match="^need n >= 4, got 3$"):
+        fox_spot_check(3)
+
+
 def test_searches_never_reach_the_naive_scan(monkeypatch):
     monkeypatch.setattr(counting, "_naive_tallies", lambda c, cyclic: pytest.fail("naive scan"))
     assert exhaustive_ar(11, 4).best_count == 26

@@ -4,7 +4,8 @@ which only re-exports), by bench/, or by README.md's code: its fenced blocks
 and backticked spans, since a word of its prose is no user. Tests do not
 count: a name that only a test reaches is a name to delete, unless it is an
 oracle or a documented entry point listed in ALLOWED. Every private
-module-level function, class or constant is read by the package itself."""
+module-level function, class or constant is read by the package itself.
+Every refusal of work over a ceiling goes through core._check_ceiling."""
 import ast
 import re
 from pathlib import Path
@@ -93,3 +94,18 @@ def test_every_private_name_has_a_reader_in_src():
     used = used_names(sorted((ROOT / "src" / "sidonrainbow").glob("*.py")))
     unread = [f"{path.stem}.{name}" for path in MODULES for name in private_definitions(path) if name not in used]
     assert unread == []
+
+
+def test_work_ceilings_refuse_through_one_helper():
+    # the phrase of a ceiling refusal appears in src only inside the helper
+    helper = next(
+        node for node in ast.parse((ROOT / "src" / "sidonrainbow" / "core.py").read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef) and node.name == "_check_ceiling"
+    )
+    hits = [
+        (path.name, lineno)
+        for path in sorted((ROOT / "src" / "sidonrainbow").glob("*.py"))
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        if "over the ceiling of" in line
+    ]
+    assert hits and all(name == "core.py" and helper.lineno <= lineno <= helper.end_lineno for name, lineno in hits)
