@@ -203,6 +203,7 @@ def _suite_closed_forms() -> list[tuple[str, bool]]:
         # the last slab's last row is the profile at a = b
         one_ok &= np.array_equal(closed_rep_one_interval(beta, ms), values[-1])
     e4_ok = all(closed_energy4_interval(a) == additive_energy([intervals[a]] * 4) for a in range(1, 21))
+    del intervals, values, ms  # before the dominance lines, whose peak is verify's
     # the radius tuples in 1..8 with 4 | s as columns, checked in slabs of 32 (each
     # call's arrays under 10 KiB) that share min(a1 + a2, a3 + a4): the pointwise
     # bound holds inside both pair supports, |m| <= that reach

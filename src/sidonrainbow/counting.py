@@ -2,9 +2,9 @@
 
 Three interval-domain counters are kept separate, each by its own identity:
 
-  count_rainbow_naive   classifies every quad (the ground-truth oracle),
-                        one pair-sum bucket at a time, by comparing the
-                        colors of each two of its pairs on p x p matrices;
+  count_rainbow_naive   classifies every quad once (the ground-truth oracle)
+                        as two pairs (x, x + a), (y, y + a) of one common
+                        difference, by outer comparisons of their colors;
   count_rainbow_fast    inclusion-exclusion over ordered color 4-tuples,
                         from a pair-sum and a pair-difference histogram per
                         color class, by one of two exact engines per class
@@ -24,7 +24,8 @@ Three interval-domain counters are kept separate, each by its own identity:
                         forward, six backward; 96 bytes per n at n = 10^5).
 
 The cyclic (Z_n) counters follow the same routes with every sum and
-difference read mod n and the pairing treated as part of the solution.
+difference read mod n and the pairing treated as part of the solution; the
+cyclic scan compares every two pairs of one sum residue, each pair of them once.
 """
 from __future__ import annotations
 
@@ -32,80 +33,78 @@ from fractions import Fraction
 from math import isqrt
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .core import ClassBreakdown, Coloring, Domain, _check_ceiling
 from .enumeration import SCAN_CEILING, _check_scan, f_n_exact, modular_count_formula, total_quads_formula
 
 
-# Entries of one block of outer comparisons in the naive scans: buckets are
-# packed into blocks of at most this many (a bucket larger than a block is
-# scanned alone), so a block's uint8 matrices stay a few KiB while small n
-# still takes few numpy calls.
+# Entries of one block of the floor's int64 pair arrays (non_rainbow_lower_bound).
 _SCAN_BLOCK = 1 << 12
+# Bytes of one block of the naive scans' uint8 matrix: with a comparison and
+# numpy's buffers, the scans at n = 240 peak near 80 KiB ([n]) and 85 KiB (Z_n).
+_SCAN_BYTES = 7 << 12
 
 
-def _block_tallies(u: np.ndarray, v: np.ndarray, bucket: np.ndarray) -> list[int]:
-    """tallies[d]: ordered (i, j), i != j, of pairs with colors (u, v) in one
-    bucket whose four colors take d distinct values; bucket[i] names pair i's
-    bucket, and pairs of different buckets are not counted.
+def _pair_tallies(lists) -> list[int]:
+    """[e = 0, e = 1, e = 6, e < 8] over the pairs i, j >= i + offset of each
+    row of each (u, v, offset) of lists, pair i colored (u[., i], v[., i]), for
+    e the equal colors among the six couples of its four elements: 0 rainbow,
+    1 three colors, 2 or 3 two colors, 6 one color.
 
-    Pair j adds [u_j not in {u_i, v_i}] + [v_j not in {u_i, v_i, u_j}]
-    colors to pair i's 1 + [u_i != v_i], on p x p outer comparisons. The
-    whole matrix is tallied, then the diagonal, each pair against itself
-    showing its own 1 + [u_i != v_i] colors, is taken off.
+    e = same_i + same_j (same = [u == v]) plus four outer comparisons, in blocks
+    of every row's pairs i0..i1 against its j >= i0 + offset, of at most
+    _SCAN_BYTES entries unless one row's pair has more; each block's corner
+    j < i + offset is masked with 8s.
     """
-    two = u != v
-    d = (u != u[:, None]).view(np.uint8)
-    d &= u != v[:, None]
-    new_v = v != u[:, None]
-    new_v &= v != v[:, None]
-    new_v &= two
-    d += new_v
-    d += 1 + two.view(np.uint8)[:, None]
-    d *= bucket == bucket[:, None]
-    tallies = [0] + [np.count_nonzero(d == t) for t in range(1, 5)]
-    doubles = np.count_nonzero(two)
-    tallies[1] -= len(two) - doubles
-    tallies[2] -= doubles
+    side = isqrt(_SCAN_BYTES)
+    # tri[i, j] = 8 if j < i else 0: a Toeplitz view of 2 side - 1 bytes
+    tri = as_strided(np.repeat(np.uint8([8, 0]), [side - 1, side])[side - 1 :], (side, side), (-1, 1))
+    tallies = [0] * 4
+    for u, v, offset in lists:
+        same = (u == v).view(np.uint8)
+        i, width = 0, u.shape[1] - offset
+        while i < width:
+            rows = min(width - i, max(1, _SCAN_BYTES // (len(u) * (width - i))))
+            r, c = np.s_[:, i : i + rows, None], np.s_[:, None, i + offset :]
+            e = same[r] + same[c]
+            for x in (u[r], v[r]):
+                for y in (u[c], v[c]):
+                    e += (x == y).view(np.uint8)
+            e[..., :rows] += tri[:rows, :rows]
+            found = [np.count_nonzero(e == 1), np.count_nonzero(e == 6), np.count_nonzero(e < 8)]
+            tallies = [t + f for t, f in zip(tallies, [e.size - np.count_nonzero(e)] + found)]
+            del e  # before the next block's
+            i += rows
     return tallies
 
 
 def _naive_tallies(c: Coloring, cyclic: bool) -> list[int]:
-    """tallies[d]: unordered pairs of distinct pairs {a < b} in one bucket
-    whose four colors take d distinct values. A bucket is a pair sum l of
-    [n], or a residue r mod n (the sums r and r + n) in the cyclic scan; two
-    distinct pairs of a bucket are disjoint, so each pair of them is one quad.
+    """tallies[d]: the Sidon 4-sets of [n], or balanced pairings of Z_n, whose
+    four colors take d distinct values, each classified once (_pair_tallies).
 
-    Buckets are classified a block of them at a time (_block_tallies), and
-    the symmetric tallies of ordered pairs of pairs are halved.
+    [n]: for each common difference a, two pairs (x, x + a) and (y, y + a) with
+    x + a < y: a 4-set p < q < r < s, q - p = s - r, has one such a. Z_n, shifted
+    down by one: for each residue 2s + t (t = 0, 1), every two of its pairs
+    {s + 1 + j, s - 1 + t - j}, j < (n - 1 + t) // 2, one row per residue.
     """
     n = c.n
-    # only equality of colors matters: ranks in the narrowest dtype keep the
-    # comparison buffers small
-    index: dict[int, int] = {}
+    index: dict[int, int] = {}  # only equality matters: ranks, in the narrowest dtype
     ranks = [index.setdefault(x, len(index)) for x in c.colors]
-    col = np.array([0] + ranks, dtype=np.min_scalar_type(len(index)))
-    l = np.arange(2 * n)
-    lo = np.maximum(1, l - n)
-    p = np.maximum(0, (l - 1) // 2 - lo + 1)  # pairs with sum l
-    sizes = p[:n] + p[n:] if cyclic else p  # pairs per bucket
-    bounds, width = [0], 0
-    for key, size in enumerate(sizes.tolist()):
-        if width and (width + size) ** 2 > _SCAN_BLOCK:
-            bounds.append(key)
-            width = 0
-        width += size
-    bounds.append(len(sizes))
-    tallies = [0] * 5
-    for k0, k1 in zip(bounds, bounds[1:]):
-        sums = np.concatenate((l[k0:k1], l[k0 + n : k1 + n])) if cyclic else l[k0:k1]
-        cnt = p[sums]
-        s = np.repeat(sums, cnt)  # sums ascend: searchsorted finds where each starts
-        a = lo[s] + np.arange(len(s)) - np.searchsorted(s, s)
-        u, v = col[a], col[s - a]
-        bucket = ((s % n if cyclic else s) - k0).astype(np.min_scalar_type(k1 - k0))
-        tallies = [t + m for t, m in zip(tallies, _block_tallies(u, v, bucket))]
-    return [t // 2 for t in tallies]
+    col = np.array(ranks, dtype=np.min_scalar_type(len(index)))
+    if cyclic:
+        col = np.concatenate((col, col))  # Z_n laid end to end
+        back, parities = col[::-1].copy(), []  # back: the second elements, j ascending
+        for t in (0, 1):
+            p, m = (n - 1 + t) // 2, (n + 1 - t) // 2  # pairs per residue, residues
+            u = as_strided(col[1:], (m, p), (col.itemsize,) * 2)  # u[s, j] = col[1 + s + j]
+            v = as_strided(back[n - t :], (m, p), (-back.itemsize, back.itemsize))
+            parities.append((u, v, max(1, _SCAN_BYTES // max(8 * p, 1))))  # a slab's same: 1/8 block
+        lists = ((u[k : k + step], v[k : k + step], 1) for u, v, step in parities for k in range(0, len(u), step))
+    else:
+        lists = ((col[None, : n - a], col[None, a:], a + 1) for a in range(1, n // 2))
+    rainbow, three, mono, valid = _pair_tallies(lists)
+    return [0, mono, valid - rainbow - three - mono, three, rainbow]
 
 
 def count_rainbow_naive(c: Coloring) -> ClassBreakdown:

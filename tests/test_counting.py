@@ -85,6 +85,41 @@ def test_naive_scans_keep_wide_color_labels(n):
     assert count_rainbow_cyclic_naive(cyc) == count_rainbow_cyclic_fast(cyc)
 
 
+def test_naive_scans_rank_past_256_colors():
+    # 280 colors, every one present, take uint16 ranks
+    rng = random.Random(280)
+    cols = list(range(1, 281)) + [rng.randint(1, 280) for _ in range(20)]
+    rng.shuffle(cols)
+    flat = Coloring(Domain.INTERVAL, 300, 280, tuple(cols))
+    bd = count_rainbow_naive(flat)
+    assert bd.rainbow == count_rainbow_fast(flat)
+    assert bd.total == total_quads_formula(300)
+    cyc = Coloring(Domain.CYCLIC, 300, 280, tuple(cols))
+    assert count_rainbow_cyclic_naive(cyc) == count_rainbow_cyclic_fast(cyc)
+
+
+def test_naive_scan_counts_every_quad_once():
+    # the total is the scan's own count of the pairs of pairs it classified
+    for n in range(1, 81):
+        assert count_rainbow_naive(random_coloring(n, 3, n)).total == total_quads_formula(n)
+
+
+@pytest.mark.parametrize("budget", [1, 7, 64])
+def test_naive_scans_match_across_block_budgets(monkeypatch, budget):
+    # budgets this small split each list's rows into many blocks, each with
+    # its own masked corner j < i + offset
+    cases = [(n, k, n + k) for n in (1, 2, 5, 9, 14, 23, 41, 60) for k in (2, 5, n)]
+    want = [
+        (count_rainbow_naive(random_coloring(n, k, s)), count_rainbow_cyclic_naive(random_coloring(n, k, s, Domain.CYCLIC)))
+        for n, k, s in cases
+    ]
+    monkeypatch.setattr(counting, "_SCAN_BYTES", budget)
+    for (n, k, seed), (flat, cyc) in zip(cases, want):
+        c = random_coloring(n, k, seed)
+        assert count_rainbow_naive(c) == (brute_breakdown(c) if n <= 14 else flat)
+        assert count_rainbow_cyclic_naive(random_coloring(n, k, seed, Domain.CYCLIC)) == cyc
+
+
 @given(n_and_k(4, 60), st.integers(0, 10**6))
 @example((60, 60), 0)
 @example((41, 27), 1)

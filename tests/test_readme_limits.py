@@ -43,6 +43,7 @@ def test_scan_ceiling():
     n = largest(lambda n: enumeration.total_quads_formula(n) <= enumeration.SCAN_CEILING, 1)
     quoted(f"more than {enumeration.SCAN_CEILING:,} quads", f"(n = {n} at most)")
     quoted(f"blocks of whole pair sums, at most {enumeration._BLOCK_ROWS:,} rows")
+    quoted(f"numpy blocks of at most {counting._SCAN_BYTES:,} entries")
 
 
 def test_sums_ceiling():
