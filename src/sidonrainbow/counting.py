@@ -4,7 +4,10 @@ Three interval-domain counters are kept separate, each by its own identity:
 
   count_rainbow_naive   classifies every quad once (the ground-truth oracle)
                         as two pairs (x, x + a), (y, y + a) of one common
-                        difference, by outer comparisons of their colors;
+                        difference by its number of distinct colors: the
+                        popcount of the OR of the pairs' one-byte color sets
+                        up to 8 colors, outer comparisons of ranks past them;
+                        the rows of many differences share each numpy block;
   count_rainbow_fast    inclusion-exclusion over ordered color 4-tuples,
                         from a pair-sum and a pair-difference histogram per
                         color class, by one of two exact engines per class
@@ -25,7 +28,8 @@ Three interval-domain counters are kept separate, each by its own identity:
 
 The cyclic (Z_n) counters follow the same routes with every sum and
 difference read mod n and the pairing treated as part of the solution; the
-cyclic scan compares every two pairs of one sum residue, each pair of them once.
+cyclic scan classifies every two pairs of one sum residue once, the same way,
+the rows of many residues to a block.
 """
 from __future__ import annotations
 
@@ -33,7 +37,6 @@ from fractions import Fraction
 from math import isqrt
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .core import ClassBreakdown, Coloring, Domain, _check_ceiling
 from .enumeration import SCAN_CEILING, _check_scan, f_n_exact, modular_count_formula, total_quads_formula
@@ -41,69 +44,129 @@ from .enumeration import SCAN_CEILING, _check_scan, f_n_exact, modular_count_for
 
 # Entries of one block of the floor's int64 pair arrays (non_rainbow_lower_bound).
 _SCAN_BLOCK = 1 << 12
-# Bytes of one block of the naive scans' uint8 matrix: with a comparison and
-# numpy's buffers, the scans at n = 240 peak near 80 KiB ([n]) and 85 KiB (Z_n).
-_SCAN_BYTES = 7 << 12
+# Bytes of one block of the naive scans: e, a byte an entry, and past 8 colors
+# a comparison's mask beside it, so half as many entries there. A scan of n
+# takes at most 6 n^2 entries a block, which costs little time at n = 60 and keeps
+# verify's floor-suite scans (n <= 60, up to 6 colors) under 40 KiB; at
+# n = 240 the scans peak near 82 KiB.
+_SCAN_BYTES = 3 << 14
 
 
-def _pair_tallies(lists) -> list[int]:
-    """[e = 0, e = 1, e = 6, e < 8] over the pairs i, j >= i + offset of each
-    row of each (u, v, offset) of lists, pair i colored (u[., i], v[., i]), for
-    e the equal colors among the six couples of its four elements: 0 rainbow,
-    1 three colors, 2 or 3 two colors, 6 one color.
+def _pair_tallies(slabs, codes: tuple[int, int, int], block: int) -> list[int]:
+    """[e = codes[0], e = codes[1], e = codes[2], e < 8] over the pairs i <= j
+    < width of every row r of each slab (left, ahead): pair i is left[.][r, i]
+    and pair j = i + t is ahead[.][r, t, i], a Toeplitz view.
 
-    e = same_i + same_j (same = [u == v]) plus four outer comparisons, in blocks
-    of every row's pairs i0..i1 against its j >= i0 + offset, of at most
-    _SCAN_BYTES entries unless one row's pair has more; each block's corner
-    j < i + offset is masked with 8s.
+    With one color-set byte a pair, e is the popcount of the two bytes' OR,
+    the colors of the four elements: 8 where ahead holds 0xFF past its row's
+    end. With two ranks and [u == v] a pair (u, v, same), e = same_i + same_j
+    plus four outer comparisons, the equal colors among the six couples: 8 or
+    more where ahead's same holds 8.
+
+    A block takes the offsets t = d..d + rows - 1 of every row against the
+    i < width - d, in at most `block` entries unless one offset has more. It
+    is tallied in place, each value of e brought to 0 in turn, so no other
+    array of its size is made.
     """
-    side = isqrt(_SCAN_BYTES)
-    # tri[i, j] = 8 if j < i else 0: a Toeplitz view of 2 side - 1 bytes
-    tri = as_strided(np.repeat(np.uint8([8, 0]), [side - 1, side])[side - 1 :], (side, side), (-1, 1))
-    tallies = [0] * 4
-    for u, v, offset in lists:
-        same = (u == v).view(np.uint8)
-        i, width = 0, u.shape[1] - offset
-        while i < width:
-            rows = min(width - i, max(1, _SCAN_BYTES // (len(u) * (width - i))))
-            r, c = np.s_[:, i : i + rows, None], np.s_[:, None, i + offset :]
-            e = same[r] + same[c]
-            for x in (u[r], v[r]):
-                for y in (u[c], v[c]):
-                    e += (x == y).view(np.uint8)
-            e[..., :rows] += tri[:rows, :rows]
-            found = [np.count_nonzero(e == 1), np.count_nonzero(e == 6), np.count_nonzero(e < 8)]
-            tallies = [t + f for t, f in zip(tallies, [e.size - np.count_nonzero(e)] + found)]
+    ladder = sorted(codes) + [8]
+    steps = [np.uint8(high - low) for low, high in zip([0] + ladder, ladder)]
+    zeros, entries = [0] * 4, 0
+    for left, ahead in slabs:
+        height, width = left[0].shape
+        d = 0
+        while d < width:
+            span = width - d
+            rows = min(span, max(1, block // (height * span)))
+            i, j = np.s_[:, None, :span], np.s_[:, d : d + rows, :span]
+            if len(left) == 1:
+                e = ahead[0][j].copy()  # a ufunc of two strided operands would take two 8 KiB buffers
+                e |= left[0][i]
+                np.bitwise_count(e, out=e)
+            else:
+                (u, v, same), (x, y, other) = left, ahead
+                e = same[i] + other[j]
+                for p in (u[i], v[i]):
+                    for q in (x[j], y[j]):
+                        e += (p == q).view(np.uint8)
+            # e - code is 0 where e = code; e - 8 has its top five bits 0 where e >= 8, and wraps past 247 where e < 8
+            for k, step in enumerate(steps):
+                if step:
+                    e -= step
+                if k == 3:
+                    e &= np.uint8(0xF8)
+                zeros[k] += e.size - int(np.count_nonzero(e))
+            entries += e.size
             del e  # before the next block's
-            i += rows
-    return tallies
+            d += rows
+    return [zeros[ladder.index(code)] for code in codes] + [entries - zeros[3]]
 
 
 def _naive_tallies(c: Coloring, cyclic: bool) -> list[int]:
     """tallies[d]: the Sidon 4-sets of [n], or balanced pairings of Z_n, whose
     four colors take d distinct values, each classified once (_pair_tallies).
 
-    [n]: for each common difference a, two pairs (x, x + a) and (y, y + a) with
-    x + a < y: a 4-set p < q < r < s, q - p = s - r, has one such a. Z_n, shifted
-    down by one: for each residue 2s + t (t = 0, 1), every two of its pairs
-    {s + 1 + j, s - 1 + t - j}, j < (n - 1 + t) // 2, one row per residue.
+    [n]: row a holds the pairs (i, i + a) against the pairs (j + a + 1,
+    j + 2a + 1), j >= i, past the row's end once j + 2a + 1 > n: a 4-set
+    p < q < r < s, q - p = s - r, has one such a. Z_n, shifted down by one:
+    for each residue 2s + t (t = 0, 1), the pairs {s + 1 + j, s - 1 + t - j},
+    j < (n - 1 + t) // 2, one row per residue, each pair against every later
+    one. A slab takes as many rows as 1/8 of a block holds.
     """
     n = c.n
     index: dict[int, int] = {}  # only equality matters: ranks, in the narrowest dtype
-    ranks = [index.setdefault(x, len(index)) for x in c.colors]
-    col = np.array(ranks, dtype=np.min_scalar_type(len(index)))
+    ranks = np.array([index.setdefault(x, len(index)) for x in c.colors], dtype=np.min_scalar_type(len(index)))
+    bits = len(index) <= 8  # then a pair's colors are one byte, a bit a color
+    col = np.left_shift(1, ranks, dtype=np.uint8) if bits else ranks
+    end = 0xFF if bits else 8  # what ahead holds past its row's end
+    block = min(_SCAN_BYTES if bits else _SCAN_BYTES // 2, 6 * n * n)
+
+    def view(a, start, steps, shape):
+        # a[start + steps . index] at each index of shape, a view of the contiguous a
+        return np.ndarray(shape, a.dtype, a, start * a.itemsize, [k * a.itemsize for k in steps])
+
+    def slab(x, y, far_x, far_y, past, rows, width):
+        # Each of x, y, far_x, far_y and past is (array, start, row step):
+        # pair i of row r is (x[start + step r + i], y[...]), pair j is
+        # (far_x[...j], far_y[...j]), past its row's end where past[...j] is.
+        shape, wide, cube = (rows, width), (rows, 2 * width - 1), (rows, width, width)
+        u, v = (view(a, s, (k, 1), shape) for a, s, k in (x, y))
+        fx, fy, fp = (view(a, s, (k, 1), wide) for a, s, k in (far_x, far_y, past))
+        if bits:
+            return (u | v,), (view(fx | fy | fp, 0, (wide[1], 1, 1), cube),)
+        same = (fx == fy).view(np.uint8) | fp
+        ahead = [view(a, s, (k, 1, 1), cube) for a, s, k in (far_x, far_y)]
+        return (u, v, (u == v).view(np.uint8)), (*ahead, view(same, 0, (wide[1], 1, 1), cube))
+
     if cyclic:
-        col = np.concatenate((col, col))  # Z_n laid end to end
-        back, parities = col[::-1].copy(), []  # back: the second elements, j ascending
-        for t in (0, 1):
-            p, m = (n - 1 + t) // 2, (n + 1 - t) // 2  # pairs per residue, residues
-            u = as_strided(col[1:], (m, p), (col.itemsize,) * 2)  # u[s, j] = col[1 + s + j]
-            v = as_strided(back[n - t :], (m, p), (-back.itemsize, back.itemsize))
-            parities.append((u, v, max(1, _SCAN_BYTES // max(8 * p, 1))))  # a slab's same: 1/8 block
-        lists = ((u[k : k + step], v[k : k + step], 1) for u, v, step in parities for k in range(0, len(u), step))
+        both = np.concatenate((col, col))  # Z_n laid end to end
+        back = both[::-1].copy()  # the second elements, j ascending
+
+        def slabs():
+            for t in (0, 1):
+                p, m = (n - 1 + t) // 2, (n + 1 - t) // 2  # pairs per residue, residues
+                width = p - 1  # pair i against pair i + 1 + j
+                if width < 1:
+                    continue
+                past = np.repeat(np.uint8([0, end]), [width, width - 1])
+                h = block // (8 * width) or 1
+                # residue s: pair j is (both[1 + s + j], back[n - t - s + j])
+                for k in range(0, m, h):
+                    far = (both, 2 + k, 1), (back, n - t - k + 1, -1), (past, 0, 0)
+                    yield slab((both, 1 + k, 1), (back, n - t - k, -1), *far, min(h, m - k), width)
     else:
-        lists = ((col[None, : n - a], col[None, a:], a + 1) for a in range(1, n // 2))
-    rainbow, three, mono, valid = _pair_tallies(lists)
+        padded = np.concatenate((col, np.zeros(2 * n, dtype=col.dtype)))
+        past = np.repeat(np.uint8([0, end, end]), n)  # from n on
+
+        def slabs():
+            a = 1
+            while a < n // 2:
+                width = n - 2 * a - 1
+                h = min(block // (8 * width) or 1, n // 2 - a)
+                far = (padded, a + 1, 1), (padded, 2 * a + 1, 2), (past, 2 * a + 1, 2)
+                yield slab((padded, 0, 0), (padded, a, 1), *far, h, width)
+                a += h
+
+    rainbow, three, mono, valid = _pair_tallies(slabs(), (4, 3, 1) if bits else (0, 1, 6), block)
     return [0, mono, valid - rainbow - three - mono, three, rainbow]
 
 
@@ -564,8 +627,10 @@ def non_rainbow_lower_bound(c: Coloring) -> Fraction:
     for x in classes:
         rows = max(1, _SCAN_BLOCK // len(x))
         for i in range(0, len(x), rows):
-            # rows b of the block against the later members a of the class
-            b, a = np.broadcast_arrays(x[i : i + rows, None], x[i + 1 :])
+            # rows b of the block against the later members a of the class,
+            # through read-only broadcast views: writeable ones stay traced
+            b, a = x[i : i + rows, None], x[i + 1 :]
             later = b < a
-            total += int(f_n_exact(c.n, b[later], a[later]).sum())
+            b, a = (np.broadcast_to(y, later.shape)[later] for y in (b, a))
+            total += int(f_n_exact(c.n, b, a).sum())
     return Fraction(total, 6)

@@ -1,5 +1,7 @@
 """The three rainbow counters against each other and against definitions."""
+import dataclasses
 import itertools
+import json
 import random
 import tracemalloc
 from fractions import Fraction
@@ -67,7 +69,7 @@ def test_naive_matches_subset_scan():
 
 @pytest.mark.parametrize("n", range(1, 15))
 def test_naive_breakdown_matches_definition(n):
-    for k in sorted({1, 2, 3, 4, 5, 7, n}):
+    for k in sorted({*range(1, 13), n}):
         for seed in range(3):
             c = random_coloring(n, k, seed)
             assert count_rainbow_naive(c) == brute_breakdown(c)
@@ -98,6 +100,35 @@ def test_naive_scans_rank_past_256_colors():
     assert count_rainbow_cyclic_naive(cyc) == count_rainbow_cyclic_fast(cyc)
 
 
+@pytest.mark.parametrize("n", [15, 31, 60])
+def test_naive_scans_match_fast_counters_at_every_color_count(n):
+    for k in sorted({*range(1, 13), n}):
+        c = random_coloring(n, k, n + k)
+        assert count_rainbow_naive(c).rainbow == count_rainbow_fast(c)
+        cyc = random_coloring(n, k, n + k, Domain.CYCLIC)
+        assert count_rainbow_cyclic_naive(cyc) == count_rainbow_cyclic_fast(cyc)
+
+
+@pytest.mark.parametrize(
+    "count, domain, k",
+    [
+        (count_rainbow_naive, Domain.INTERVAL, 4),
+        (count_rainbow_naive, Domain.INTERVAL, 12),
+        (count_rainbow_cyclic_naive, Domain.CYCLIC, 4),
+        (count_rainbow_cyclic_naive, Domain.CYCLIC, 12),
+        (count_rainbow_fast, Domain.INTERVAL, 4),
+        (count_rainbow_cyclic_fast, Domain.CYCLIC, 4),
+        (rainbow_via_energy, Domain.INTERVAL, 4),
+    ],
+)
+def test_counters_return_python_ints(count, domain, k):
+    # numpy integers would not serialize: json.dumps raises on numpy.int64
+    out = count(random_coloring(30, k, 1, domain))
+    values = dataclasses.astuple(out) if dataclasses.is_dataclass(out) else (out,)
+    assert all(type(v) is int for v in values), [type(v) for v in values]
+    json.dumps(values)
+
+
 def test_naive_scan_counts_every_quad_once():
     # the total is the scan's own count of the pairs of pairs it classified
     for n in range(1, 81):
@@ -106,9 +137,10 @@ def test_naive_scan_counts_every_quad_once():
 
 @pytest.mark.parametrize("budget", [1, 7, 64])
 def test_naive_scans_match_across_block_budgets(monkeypatch, budget):
-    # budgets this small split each list's rows into many blocks, each with
-    # its own masked corner j < i + offset
-    cases = [(n, k, n + k) for n in (1, 2, 5, 9, 14, 23, 41, 60) for k in (2, 5, n)]
+    # budgets this small split each slab's offsets into many blocks, cut at
+    # row ends and across the past-the-end marks; 8 and 9 colors sit on
+    # either side of the one-byte color sets
+    cases = [(n, k, n + k) for n in (1, 2, 5, 9, 14, 23, 41, 60) for k in (2, 5, 8, 9, n)]
     want = [
         (count_rainbow_naive(random_coloring(n, k, s)), count_rainbow_cyclic_naive(random_coloring(n, k, s, Domain.CYCLIC)))
         for n, k, s in cases
