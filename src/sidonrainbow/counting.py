@@ -11,10 +11,11 @@ Three interval-domain counters are kept separate, each by its own identity:
   count_rainbow_fast    inclusion-exclusion over ordered color 4-tuples,
                         from a pair-sum and a pair-difference histogram per
                         color class, by one of two exact engines per class
-                        size: about |X|^2 / 2 pairs in blocks of sqrt(8n)
-                        rows (O(|X|^2) time) for small classes, and for
-                        large ones an exact number-theoretic transform mod
-                        a prime (O(n log n)): for k large classes, k
+                        size: for small classes each unordered pair once,
+                        as rows of the class's circulant in blocks of
+                        _PAIRS entries (O(|X|^2) time), and for large ones
+                        an exact number-theoretic transform mod a prime
+                        (O(n log n)): for k large classes, k
                         forward, ceil(k/2) backward carrying two classes'
                         sums as the digits of Q_i + (|X_i| + 1) Q_j, and one
                         for all their differences; no W_i array; O(n)
@@ -34,7 +35,6 @@ the rows of many residues to a block.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
 
 import numpy as np
 
@@ -189,8 +189,10 @@ def _classes(c: Coloring) -> dict[int, np.ndarray]:
     return {key: members[a:b] for key, a, b in zip(colors[cuts[:-1]].tolist(), cuts, cuts[1:])}
 
 
-# A block of rows holds at most this many int64 pair entries (8 MiB).
-_BLOCK = 1 << 20
+# Pair entries of one block of circulant rows, unless one row has more: 512 KiB
+# of int64 sums or differences. Each block pays two O(n) bincounts; over the
+# count benchmark's pair-engine classes 2**15 took 4% longer, 2**17 no less.
+_PAIRS = 1 << 16
 # Each dot product below, from either engine's histograms, sums v**2 over
 # v <= n with sum(v) <= n**2, so it is at most n**3; this is the largest n
 # with n**3 <= 2**63 - 1.
@@ -213,31 +215,42 @@ CLASS_N_CEILING = 8_400_000
 # a count at n = 4 took about 0.2 ms there, 400 units at the ceiling's 0.5 us each.
 MIN_CLASS_N = 400
 # The least it charges each of the count's min(k, n) color classes: counts at
-# k = 42 took about 0.38 ms at n = 8 and 0.6 ms at n = 16, 95 and 75 units a class.
+# k = 42 took about 0.14 ms at n = 8 and 0.25 ms at n = 16, 35 and 31 units a class.
 MIN_PER_CLASS = 100
 
 
 def _pair_histograms(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Counts of a + b (at index a + b) and of a - b (at a - b + n) over the
-    ordered pairs of the sorted class x, forming only the pairs a <= b.
+    ordered pairs of the sorted class x of m members, forming each unordered
+    pair a != b once.
 
-    A block of r rows forms r^2 pairs with itself and r * (rows after it)
-    with the rest, about |x|^2 / 2 + |x| * r / 2 in all, and pays four
-    O(n) bincounts, each costing about n pair entries: r = sqrt(8n) balances
-    |x| * r / 2 against 4n * |x| / r (sqrt(4n) timed 4-8% slower at n = 2000..5000).
+    Row t of x's circulant pairs x[i] with x[(i + t) mod m]: rows t = 1 ..
+    (m - 1) // 2, and when m is even the half row m / 2 over i < m / 2, hold
+    every pair once, m (m - 1) / 2 entries in row order. A block is a view of
+    whole rows of x laid twice end to end, at most _PAIRS entries unless one
+    row has more, and the last one stops at the last pair. The sums are twice
+    the blocks' sum counts plus those of 2x, and D(d) = D(-d) is the blocks'
+    count of |a - b| = d, with D(0) = m.
     """
+    m = len(x)
     x = x.astype(np.int64)  # bincount would widen each block of int32 pairs
-    width = 2 * n + 1
-    sums, diffs = np.zeros(width, dtype=np.int64), np.zeros(width, dtype=np.int64)
-    rows = max(1, min(_BLOCK // max(len(x), 1), isqrt(8 * n)))
-    for a in range(0, len(x), rows):
-        head, tail = x[a : a + rows], x[a + rows :]
-        sums += np.bincount(np.add.outer(head, head).ravel(), minlength=width)
-        sums += 2 * np.bincount(np.add.outer(head, tail).ravel(), minlength=width)
-        diffs += np.bincount(np.subtract.outer(head + n, head).ravel(), minlength=width)
-        below = np.bincount(np.subtract.outer(head + n, tail).ravel(), minlength=width)
-        diffs += below
-        diffs += below[::-1]
+    twice = np.concatenate((x, x))
+    pairs, block = m * (m - 1) // 2, m * max(1, _PAIRS // m) if m else 1  # whole rows a block
+    sums, gaps = np.zeros(2 * n + 1, dtype=np.int64), np.zeros(n + 1, dtype=np.int64)
+    for done in range(0, pairs, block):
+        t, left = 1 + done // m, pairs - done
+        # rows t, t + 1, ... of the circulant, a view of twice: entry (s, i) is twice[t + s + i]
+        ahead = np.ndarray((-(-min(block, left) // m), m), x.dtype, twice, t * x.itemsize, (x.itemsize,) * 2)
+        e = ahead + x
+        sums += np.bincount(e.ravel()[:left], minlength=2 * n + 1)
+        np.subtract(ahead, x, out=e)
+        np.abs(e, out=e)
+        gaps += np.bincount(e.ravel()[:left], minlength=n + 1)
+        del e  # before the next block's
+    sums *= 2
+    sums += np.bincount(x + x, minlength=2 * n + 1)
+    diffs = np.concatenate((gaps[:0:-1], gaps))
+    diffs[n] = m
     return sums, diffs
 
 
@@ -467,8 +480,10 @@ def _transform_differences(n: int, roots: np.ndarray, acc: np.ndarray, pairs: in
 # for L the transform length: the pair histograms cost about |X|^2, and the
 # transform about L (log L grows slowly) plus its few hundred numpy calls,
 # which cost as much as some 2**13 slots. Timed per class on a 2-vCPU x86
-# host (numpy 2.4), |X|^2 / L broke even at 21-29 for L >= 2**15, 31-57 at
-# L = 2**13..2**14, about 75 at 2**12 and 130 at 2**11.
+# host (numpy 2.4) at n = L/4 + 1 and L/2, circulant pairs against a share of
+# a packed transform, |X|^2 / L broke even at 19-32 for L >= 2**15, 33-38 at
+# 2**14, 51-64 at 2**13, 71-94 at 2**12 and 97-121 at 2**11, where the rule
+# gives 25-31, 37.5, 50, 75 and 125.
 _CROSSOVER = 25
 
 

@@ -5,7 +5,7 @@ import json
 import random
 import tracemalloc
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb
 from types import SimpleNamespace
 
 import numpy as np
@@ -251,10 +251,11 @@ def test_cyclic_fast_matches_naive(nk, seed):
         assert count_rainbow_cyclic_fast(c) == 0
 
 
-@pytest.mark.parametrize("block", [1, 100])
+@pytest.mark.parametrize("block", [1, 7, 100])
 def test_blocked_histograms_match_naive(monkeypatch, block):
-    # classes this small fit one block; shrink it so row blocks meet later columns
-    monkeypatch.setattr(counting, "_BLOCK", block)
+    # classes this small fit one block; shrink it to one circulant row a
+    # block (1), or a few rows, so blocks split the rows of every class
+    monkeypatch.setattr(counting, "_PAIRS", block)
     for n, k, seed in ((60, 4, 1), (57, 5, 2), (40, 9, 3)):
         c = random_coloring(n, k, seed)
         assert count_rainbow_fast(c) == count_rainbow_naive(c).rainbow
@@ -262,19 +263,38 @@ def test_blocked_histograms_match_naive(monkeypatch, block):
         assert count_rainbow_cyclic_fast(cyc) == count_rainbow_cyclic_naive(cyc)
 
 
+def assert_outer_histograms(x, n):
+    # the reference: both histograms over all |x|^2 ordered pairs at once
+    y = x.astype(np.int64)
+    sums = np.bincount(np.add.outer(y, y).ravel(), minlength=2 * n + 1)
+    diffs = np.bincount((np.subtract.outer(y, y) + n).ravel(), minlength=2 * n + 1)
+    for got, want in zip(counting._pair_histograms(x, n), (sums, diffs)):
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
 def test_pair_histograms_in_row_blocks_match_outer_reference():
-    # sqrt(8n) = 126 rows a block splits this class into eight blocks
+    # 404,550 pairs in blocks of 72 rows of 900: seven blocks, the last one
+    # ending on the half row m / 2 of this even class
     n = 2000
     x = np.sort(np.random.default_rng(0).choice(np.arange(1, n + 1), 900, replace=False))
-    assert len(x) > 2 * isqrt(8 * n)
-    sums = np.bincount(np.add.outer(x, x).ravel(), minlength=2 * n + 1)
-    diffs = np.bincount((np.subtract.outer(x, x) + n).ravel(), minlength=2 * n + 1)
-    got = counting._pair_histograms(x, n)
-    assert np.array_equal(got[0], sums) and np.array_equal(got[1], diffs)
+    assert len(x) % 2 == 0 and len(x) * (len(x) - 1) // 2 > 6 * counting._PAIRS
+    assert_outer_histograms(x, n)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_pair_histograms_of_small_classes_match_outer_reference(monkeypatch, block):
+    # every class size up to 9: odd m, and even m with its half row, in
+    # blocks of one row (1) or of the whole rows that fit 7 entries
+    monkeypatch.setattr(counting, "_PAIRS", block)
+    rng = np.random.default_rng(block)
+    for m in range(1, 10):
+        for n in (m, m + 1, 4 * m + 3):
+            assert_outer_histograms(np.sort(rng.choice(np.arange(1, n + 1), m, replace=False)).astype(np.int32), n)
 
 
 def test_pair_histograms_form_half_the_square():
-    # all |x|^2 = 10^6 ordered pairs in one block would take 8 MiB
+    # all |x|^2 = 10^6 ordered pairs in one block would take 8 MiB; blocks of
+    # _PAIRS entries peak at 846 KiB, and this bound leaves 178 KiB of margin
     n = 8000
     x = np.sort(np.random.default_rng(1).choice(np.arange(1, n + 1), 1000, replace=False))
     tracemalloc.start()
@@ -283,7 +303,7 @@ def test_pair_histograms_form_half_the_square():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * 2**20
+    assert peak < 2**20
 
 
 def transform_histograms(x, n, length):
