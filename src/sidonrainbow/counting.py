@@ -7,7 +7,8 @@ Three interval-domain counters are kept separate, each by its own identity:
                         difference by its number of distinct colors: the
                         popcount of the OR of the pairs' one-byte color sets
                         up to 8 colors, outer comparisons of ranks past them;
-                        the rows of many differences share each numpy block;
+                        many rows to a numpy block, both pairs views of one
+                        array of their rows' pairs;
   count_rainbow_fast    inclusion-exclusion over ordered color 4-tuples,
                         from a pair-sum and a pair-difference histogram per
                         color class, by one of two exact engines per class
@@ -44,24 +45,24 @@ from .enumeration import SCAN_CEILING, _check_scan, f_n_exact, modular_count_for
 
 # Entries of one block of the floor's int64 pair arrays (non_rainbow_lower_bound).
 _SCAN_BLOCK = 1 << 12
-# Bytes of one block of the naive scans: e, a byte an entry, and past 8 colors
-# a comparison's mask beside it, so half as many entries there. A scan of n
-# takes at most 6 n^2 entries a block, which costs little time at n = 60 and keeps
-# verify's floor-suite scans (n <= 60, up to 6 colors) under 40 KiB; at
-# n = 240 the scans peak near 82 KiB.
+# Bytes of one block of the naive scans: e, a byte an entry, and past 8 colors a
+# comparison's mask beside it, so half as many entries there, beside a slab's one
+# array of pairs of at most 0.6 blocks. A scan of n takes at most 6 n^2 entries a
+# block, which costs little time at n = 60 and keeps verify's floor-suite scans
+# (n <= 60, up to 6 colors) under 40 KiB; at n = 240 the scans peak near 81 KiB.
 _SCAN_BYTES = 3 << 14
 
 
 def _pair_tallies(slabs, codes: tuple[int, int, int], block: int) -> list[int]:
     """[e = codes[0], e = codes[1], e = codes[2], e < 8] over the pairs i <= j
     < width of every row r of each slab (left, ahead): pair i is left[.][r, i]
-    and pair j = i + t is ahead[.][r, t, i], a Toeplitz view.
+    and pair j = i + t is ahead[.][r, t, i], a Toeplitz view of the same array.
 
     With one color-set byte a pair, e is the popcount of the two bytes' OR,
-    the colors of the four elements: 8 where ahead holds 0xFF past its row's
+    the colors of the four elements: 8 where a byte holds 0xFF past its row's
     end. With two ranks and [u == v] a pair (u, v, same), e = same_i + same_j
-    plus four outer comparisons, the equal colors among the six couples: 8 or
-    more where ahead's same holds 8.
+    plus four outer comparisons, the equal colors among the six couples: 8
+    or more (at most 22) where a same holds 8.
 
     A block takes the offsets t = d..d + rows - 1 of every row against the
     i < width - d, in at most `block` entries unless one offset has more. It
@@ -88,12 +89,12 @@ def _pair_tallies(slabs, codes: tuple[int, int, int], block: int) -> list[int]:
                 for p in (u[i], v[i]):
                     for q in (x[j], y[j]):
                         e += (p == q).view(np.uint8)
-            # e - code is 0 where e = code; e - 8 has its top five bits 0 where e >= 8, and wraps past 247 where e < 8
+            # e - code is 0 where e = code; e - 8 has its top three bits 0 where 8 <= e < 40, and wraps past 247 where e < 8
             for k, step in enumerate(steps):
                 if step:
                     e -= step
                 if k == 3:
-                    e &= np.uint8(0xF8)
+                    e &= np.uint8(0xE0)
                 zeros[k] += e.size - int(np.count_nonzero(e))
             entries += e.size
             del e  # before the next block's
@@ -105,37 +106,37 @@ def _naive_tallies(c: Coloring, cyclic: bool) -> list[int]:
     """tallies[d]: the Sidon 4-sets of [n], or balanced pairings of Z_n, whose
     four colors take d distinct values, each classified once (_pair_tallies).
 
-    [n]: row a holds the pairs (i, i + a) against the pairs (j + a + 1,
-    j + 2a + 1), j >= i, past the row's end once j + 2a + 1 > n: a 4-set
-    p < q < r < s, q - p = s - r, has one such a. Z_n, shifted down by one:
-    for each residue 2s + t (t = 0, 1), the pairs {s + 1 + j, s - 1 + t - j},
-    j < (n - 1 + t) // 2, one row per residue, each pair against every later
-    one. A slab takes as many rows as 1/8 of a block holds.
+    [n], from 0: row a holds the pairs (k, k + a), k < n - a, pair i against
+    pair a + 1 + j, j >= i: a 4-set p < q < r < s, q - p = s - r, has one such
+    a. Z_n, from 0: for each residue 2s + t (t = 0, 1), the pairs {s + 1 + k,
+    s - 1 + t - k}, k < (n - 1 + t) // 2, one row per residue, each pair
+    against every later one. A slab takes as many rows as 1/8 of a block
+    holds, in one array of each row's pairs marked past its end (the color
+    bytes x | y | past, or same = [x == y] | past beside two rank views):
+    left is a row's first width pairs, ahead row r's from shift + step r on.
     """
     n = c.n
     index: dict[int, int] = {}  # only equality matters: ranks, in the narrowest dtype
     ranks = np.array([index.setdefault(x, len(index)) for x in c.colors], dtype=np.min_scalar_type(len(index)))
     bits = len(index) <= 8  # then a pair's colors are one byte, a bit a color
     col = np.left_shift(1, ranks, dtype=np.uint8) if bits else ranks
-    end = 0xFF if bits else 8  # what ahead holds past its row's end
+    end = 0xFF if bits else 8  # what a pair holds past its row's end
     block = min(_SCAN_BYTES if bits else _SCAN_BYTES // 2, 6 * n * n)
 
     def view(a, start, steps, shape):
         # a[start + steps . index] at each index of shape, a view of the contiguous a
         return np.ndarray(shape, a.dtype, a, start * a.itemsize, [k * a.itemsize for k in steps])
 
-    def slab(x, y, far_x, far_y, past, rows, width):
-        # Each of x, y, far_x, far_y and past is (array, start, row step):
-        # pair i of row r is (x[start + step r + i], y[...]), pair j is
-        # (far_x[...j], far_y[...j]), past its row's end where past[...j] is.
-        shape, wide, cube = (rows, width), (rows, 2 * width - 1), (rows, width, width)
-        u, v = (view(a, s, (k, 1), shape) for a, s, k in (x, y))
-        fx, fy, fp = (view(a, s, (k, 1), wide) for a, s, k in (far_x, far_y, past))
-        if bits:
-            return (u | v,), (view(fx | fy | fp, 0, (wide[1], 1, 1), cube),)
-        same = (fx == fy).view(np.uint8) | fp
-        ahead = [view(a, s, (k, 1, 1), cube) for a, s, k in (far_x, far_y)]
-        return (u, v, (u == v).view(np.uint8)), (*ahead, view(same, 0, (wide[1], 1, 1), cube))
+    def slab(x, y, past, shift, step, rows, width):
+        # x, y and past are (array, start, row step): pair k of row r is (x[start + step r + k], y[...]),
+        # past its row's end where past[...] is; ahead[.][r, t, i] is pair shift + step r + t + i
+        length = shift + step * (rows - 1) + 2 * width - 1
+        fx, fy, fp = (view(a, s, (k, 1), (rows, length)) for a, s, k in (x, y, past))
+        side = fx | fy if bits else (fx == fy).view(np.uint8)
+        side |= fp
+        operands = ([] if bits else [x, y]) + [(side, 0, length)]
+        left = tuple(view(a, s, (k, 1), (rows, width)) for a, s, k in operands)
+        return left, tuple(view(a, s + shift, (k + step, 1, 1), (rows, width, width)) for a, s, k in operands)
 
     if cyclic:
         both = np.concatenate((col, col))  # Z_n laid end to end
@@ -147,12 +148,11 @@ def _naive_tallies(c: Coloring, cyclic: bool) -> list[int]:
                 width = p - 1  # pair i against pair i + 1 + j
                 if width < 1:
                     continue
-                past = np.repeat(np.uint8([0, end]), [width, width - 1])
+                past = np.repeat(np.uint8([0, end]), [p, width - 1])
                 h = block // (8 * width) or 1
-                # residue s: pair j is (both[1 + s + j], back[n - t - s + j])
+                # residue s: pair k is (both[1 + s + k], back[n - t - s + k])
                 for k in range(0, m, h):
-                    far = (both, 2 + k, 1), (back, n - t - k + 1, -1), (past, 0, 0)
-                    yield slab((both, 1 + k, 1), (back, n - t - k, -1), *far, min(h, m - k), width)
+                    yield slab((both, 1 + k, 1), (back, n - t - k, -1), (past, 0, 0), 1, 0, min(h, m - k), width)
     else:
         padded = np.concatenate((col, np.zeros(2 * n, dtype=col.dtype)))
         past = np.repeat(np.uint8([0, end, end]), n)  # from n on
@@ -162,8 +162,7 @@ def _naive_tallies(c: Coloring, cyclic: bool) -> list[int]:
             while a < n // 2:
                 width = n - 2 * a - 1
                 h = min(block // (8 * width) or 1, n // 2 - a)
-                far = (padded, a + 1, 1), (padded, 2 * a + 1, 2), (past, 2 * a + 1, 2)
-                yield slab((padded, 0, 0), (padded, a, 1), *far, h, width)
+                yield slab((padded, 0, 0), (padded, a, 1), (past, a, 1), a + 1, 1, h, width)
                 a += h
 
     rainbow, three, mono, valid = _pair_tallies(slabs(), (4, 3, 1) if bits else (0, 1, 6), block)
@@ -211,8 +210,8 @@ def _check_headroom(n: int) -> None:
 # the crossover) and 3.8 s at n = 10^6 (k = 8); four classes pass up to _MAX_N
 # (4.2 s).
 CLASS_N_CEILING = 8_400_000
-# The least a sweep charges one count against that ceiling, for its fixed cost:
-# a count at n = 4 took about 0.2 ms there, 400 units at the ceiling's 0.5 us each.
+# The least a sweep charges one count against that ceiling, for its fixed cost: a row
+# at n = 4 took 0.10-0.12 ms there (its count 0.04-0.07 ms), under 400 units of 0.5 us.
 MIN_CLASS_N = 400
 # The least it charges each of the count's min(k, n) color classes: counts at
 # k = 42 took about 0.14 ms at n = 8 and 0.25 ms at n = 16, 35 and 31 units a class.

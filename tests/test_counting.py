@@ -75,6 +75,19 @@ def test_naive_breakdown_matches_definition(n):
             assert count_rainbow_naive(c) == brute_breakdown(c)
 
 
+def test_cyclic_naive_tallies_match_definition():
+    # every tally of the Z_n scan against a recount over its balanced pairings
+    for n in range(1, 19):
+        quads = enumeration.enumerate_modular_quads(n)
+        for k in sorted({*range(1, 13), n}):
+            for seed in range(3):
+                c = random_coloring(n, k, seed, Domain.CYCLIC)
+                tallies = [0] * 5
+                for q in quads:
+                    tallies[len({c.colors[r - 1] for r in q.pair_a + q.pair_b})] += 1
+                assert counting._naive_tallies(c, cyclic=True) == tallies, (n, k, seed)
+
+
 @pytest.mark.parametrize("n", range(8, 25))
 def test_naive_scans_keep_wide_color_labels(n):
     # labels past 8 bits that agree in their low byte: a scan that narrowed

@@ -158,7 +158,7 @@ def test_sweep_ceiling(monkeypatch):
         f"at k = 4 ({ceiling // least:,} times `4`)",
         f"at k = 42 ({ceiling // (16 * per):,} times `16`)",
         "k = 42 (`100000,100000`)",
-        "and 0.15 s at k = 420 (`20000`)",
+        "and 0.3 s at k = 420 (`20000`)",
     )
 
 
