@@ -15,11 +15,11 @@ the hook about each child in the parent's color loop, so a child the hook
 refuses costs no call frame.
 
 One recolor-gain table serves hill climbing and delta_recolor. An element's
-row holds T, the quads through the element whose other three elements show
-three distinct colors, and C[col], how many of those show col, so the element
-wearing col makes T - C[col] of its quads rainbow. A climb rebuilds the table
-from integer convolutions, O(k n^2), after every move, rather than updating
-rows along the O(n^2) quads through the recolored element.
+row holds C[col], the quads through the element whose other three elements
+show three distinct colors, col among them. There are T = sum C / 3 such
+quads, so the element wearing col makes T - C[col] of them rainbow. A climb
+rebuilds the table from integer convolutions, O(k n^2), after every move, rather
+than updating rows along the O(n^2) quads through the recolored element.
 
 Every reported count is recounted from its witness by
 counting.count_rainbow_fast, which shares no code with the walker's bitsets
@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Coloring, Domain, _check_ceiling, coloring_dict, mod_coloring, random_coloring
+from .core import Coloring, Domain, _check_ceiling, _check_family, coloring_dict, mod_coloring, random_coloring
 from .counting import _check_headroom, count_rainbow_fast
 from .enumeration import enumerate_quads
 
@@ -186,8 +186,7 @@ def exhaustive_ar(n: int, k: int) -> SearchResult:
     Leaves come in lexicographic order, so the reported witness is the first
     maximizer in that order.
     """
-    if n < 1 or k < 1:
-        raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+    _check_family(n, k, surjective=False)
     # a canonical coloring of [n] uses at most n colors
     m = min(k, n)
     if m < 4:
@@ -225,27 +224,26 @@ _BLOCK = 1 << 11
 
 
 def _gain_table(cols: Sequence[int], k: int) -> np.ndarray:
-    """Gain rows [T, C[1], ..., C[k]] of every element index, as an (n, k + 1)
-    int64 array.
+    """Gain rows [C[1], ..., C[k]] of every element index, an (n, k) int64 array.
 
-    T counts the quads through element e whose other three elements show
-    three distinct colors, and C[col] those of them that show col, so e
-    wearing col makes T - C[col] of its quads rainbow. Each quad through e is
-    found once from e's side partner x, as a two-colored pair {y, z} with
+    C[col] counts the quads through element e whose other three elements show
+    three distinct colors, col among them; they number T = sum C / 3, so e
+    wearing col makes T - C[col] of them rainbow. Each quad through e is found
+    once from e's side partner x, as a two-colored pair {y, z} with
     y + z = e + x that avoids x's color; {e, x} itself shows x's color and
     drops out. With I_c color c's indicator, by pair sum s:
 
       R_c = I_c * (1 - I_c)          two-colored pairs showing c,
       H_c = sum_c' R_c' / 2 - R_c    two-colored pairs avoiding c.
 
-    T sums H_{c_x}(e + x) over x; C[col] sums H_col(e + x) over the x of
-    color col and R_col(e + x) - (I_col * I_{c_x})(e + x) over the others,
-    whose products add up to I_col convolved with the difference histogram
-    of the other colors' same-colored pairs: five integer np.convolve or
-    np.correlate calls of O(n^2) per color, no float, no FFT. The x = e term,
-    read at s = 2e, is taken off: H_{c_e}(2e) in T and C[c_e], and in another
-    C[col] R_col(2e) less the y of color col whose mirror 2e - y has e's
-    color, tallied over the same-colored pairs (e, z) as y = 2e - z.
+    C[col] sums H_col(e + x) over the x of color col and R_col(e + x) -
+    (I_col * I_{c_x})(e + x) over the others, whose products add up to I_col
+    convolved with the difference histogram of the other colors' same-colored
+    pairs: five integer np.convolve or np.correlate calls of O(n^2) per color,
+    no float, no FFT. The x = e term, read at s = 2e, is taken off: H_{c_e}(2e)
+    in C[c_e], and in another C[col] R_col(2e) less the y of color col whose
+    mirror 2e - y has e's color, tallied over the same-colored pairs (e, z) as
+    y = 2e - z.
     """
     own = np.asarray(cols) - 1
     n = len(own)
@@ -257,13 +255,12 @@ def _gain_table(cols: Sequence[int], k: int) -> np.ndarray:
         G[c] = np.correlate(i, i, "full")
     half = R.sum(axis=0) // 2
     np.subtract(G.sum(axis=0), G, out=G)  # same-colored pairs of the other colors, by difference
-    table = np.zeros((n, k + 1), dtype=np.int64)
+    table = np.empty((n, k), dtype=np.int64)
     for c, i in enumerate(ind):
         h = np.correlate(half - R[c], i, "valid")
-        table[:, 0] += h
         h += np.correlate(R[c], 1 - i, "valid")
         h -= np.convolve(G[c], i, "valid")
-        table[:, c + 1] = h
+        table[:, c] = h
     del ind, G, h  # the x = e tally below sets the peak; hold little under it
     # the x = e term; members[c] lists color c's elements, padded with 2n,
     # whose mirror 2e - 2n falls outside [0, n) as y = n, the spare color k
@@ -287,8 +284,7 @@ def _gain_table(cols: Sequence[int], k: int) -> np.ndarray:
             y.ravel(), minlength=len(y) * (k + 1)
         ).reshape(-1, k + 1)[:, :k]
     term[np.arange(n), own] = self_h
-    table[:, 0] -= self_h
-    table[:, 1:] -= term
+    table -= term
     return table
 
 
@@ -307,19 +303,20 @@ def delta_recolor(c: Coloring, i: int, newcolor: int) -> int:
     work = m * c.n * c.n + 2**15
     _check_ceiling(work, MAX_CLIMB_WORK, f"a gain table at n={c.n} over {m} colors would take {work} steps")
     row = _gain_table([rank[col] for col in c.colors], m)[i - 1]
-    return int(row[rank[c.colors[i - 1]]] - row[rank[newcolor]])
+    return int(row[rank[c.colors[i - 1]] - 1] - row[rank[newcolor] - 1])
 
 
 def _best_move(cols: np.ndarray, k: int) -> tuple[int, int, int]:
     """(rainbow count, gain, move) of cols from a fresh gain table. The count
-    is sum_e (T_e - C_e[cols[e]]) / 4, a rainbow quad being rainbow through
-    each of its elements. Move e * k + col - 1 recolors element index e to col,
-    gaining C_e[cols[e]] - C_e[col]; it is the first best in that order."""
+    is sum_e (T_e - C_e[cols[e]]) / 4 = sum_e (sum C_e - 3 C_e[cols[e]]) / 12,
+    a rainbow quad being rainbow through each of its elements. Move e * k +
+    col - 1 recolors element index e to col, gaining C_e[cols[e]] - C_e[col];
+    it is the first best in that order."""
     table = _gain_table(cols, k)
-    here = table[np.arange(len(cols)), cols]
-    gain = (here[:, None] - table[:, 1:]).ravel()
+    here = table[np.arange(len(cols)), cols - 1]
+    gain = (here[:, None] - table).ravel()
     best = int(gain.argmax())
-    return int((table[:, 0] - here).sum()) // 4, int(gain[best]), best
+    return int(table.sum() - 3 * here.sum()) // 12, int(gain[best]), best
 
 
 def _climb(cols: np.ndarray, k: int, move_budget: int) -> tuple[int, int]:

@@ -361,18 +361,35 @@ def test_gain_table_stays_exact(n, k, seed, data):
     for _ in range(data.draw(st.integers(1, 4))):
         p = data.draw(st.integers(0, n - 1))
         cols[p] = data.draw(st.integers(1, k).filter(lambda col: col != cols[p]))
+    assert_table_is_c(cols, k)
+
+
+def assert_table_is_c(cols, k):
+    # the table holds C alone; T, each quad showing three colors, is sum C / 3
     table = search._gain_table(cols, k)
-    assert table.dtype == np.int64 and table.shape == (n, k + 1)
-    assert table.tolist() == fresh_rows(cols, k)
+    rows = fresh_rows(cols, k)
+    assert table.dtype == np.int64 and table.shape == (len(cols), k)
+    assert table.tolist() == [row[1:] for row in rows]
+    assert all(3 * row[0] == sum(row[1:]) for row in rows)
     count, _, _ = search._best_move(np.array(cols), k)
-    assert count == count_rainbow_naive(Coloring(Domain.INTERVAL, n, k, tuple(cols))).rainbow
+    assert count == count_rainbow_naive(Coloring(Domain.INTERVAL, len(cols), k, tuple(cols))).rainbow
 
 
 def test_gain_table_on_skewed_colorings():
     # one large class, unused colors and n < k: the x = e term tallies a class
     # in several blocks, or a row holds no same-colored pair but its own
     for cols, k in (([1] * 150 + [2, 3, 4, 2], 4), ([3, 1, 3, 5, 3], 7), ([2], 4), ([1, 2], 4)):
-        assert search._gain_table(cols, k).tolist() == fresh_rows(cols, k)
+        assert_table_is_c(cols, k)
+
+
+@pytest.mark.parametrize("n", [300, 1000])
+@pytest.mark.parametrize("k", [4, 7])
+def test_best_move_counts_at_larger_n(n, k):
+    # the table's count, sum_e (sum C_e - 3 C_e[cols[e]]) / 12, past the n the
+    # hypothesis test reaches
+    for seed in (1, 2):
+        c = random_coloring(n, k, seed)
+        assert search._best_move(np.array(c.colors), k)[0] == counting.count_rainbow_fast(c)
 
 
 # (n, k, seed, restarts, max_moves) -> best_count, moves and witness colors,
